@@ -19,17 +19,14 @@
 //   wallclock --baseline-from=F       embed F's results as "baseline"
 //                                     in the written file (before/after)
 //
-// Schema 4 adds the execution engine to every row ("engine", "threads")
-// and records the parallel engine's throughput as extra rows keyed
-// "<app>-par<shards>" after the sequential ones. The perf gate stays
-// keyed to the sequential sort row: par wall-clock depends on the host's
-// core count, which CI runners do not guarantee, so par rows are
-// trajectory data, not a gate.
+// Schema 5 is one row per app, each a single-threaded run of the one
+// event loop (schema 4's "engine"/"threads" columns and "<app>-par4"
+// rows went with the parallel engine).
 //
 // JSON layout contract (writer and --check parser agree on it): the
 // top-level per-app objects, "sort" first, precede "baseline", so the
 // first "cycles_per_sec" after the first "sort" key is the current
-// value ("sort-par4" does not match the quoted key "sort").
+// value.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -72,16 +69,6 @@ RunManifest default_manifest(const std::string& app) {
   return m;
 }
 
-/// One benchmark row: an app under one engine configuration. `threads`
-/// is the host-thread count the row ran with (1 for the sequential
-/// loop, the shard count for the parallel engine).
-struct Row {
-  std::string key;     ///< JSON key ("sort", "sort-par4", ...)
-  std::string app;     ///< registry workload name
-  std::string engine;  ///< "seq" | "par"
-  std::uint32_t shards = 0;
-};
-
 struct Sample {
   std::uint64_t cycles = 0;
   double wall_seconds = 0;
@@ -115,19 +102,15 @@ long peak_rss_kb() {
   return 0;
 }
 
-Sample measure_once(const Row& row) {
+Sample measure_once(const std::string& app) {
   RunOptions opts;
-  opts.manifest = default_manifest(row.app);
-  if (row.engine == "par") {
-    opts.engine.kind = emx::sim::EngineSpec::Kind::kParallel;
-    opts.engine.shards = row.shards;
-  }
+  opts.manifest = default_manifest(app);
   const auto t0 = std::chrono::steady_clock::now();
   const RunResult r = emx::snapshot::run(opts);
   const auto t1 = std::chrono::steady_clock::now();
   if (r.exit_code != 0) {
     std::fprintf(stderr, "wallclock: %s run failed (exit %d): %s\n",
-                 row.key.c_str(), r.exit_code, r.error.c_str());
+                 app.c_str(), r.exit_code, r.error.c_str());
     std::exit(1);
   }
   Sample s;
@@ -138,11 +121,11 @@ Sample measure_once(const Row& row) {
   return s;
 }
 
-Sample measure(const Row& row, int reps) {
+Sample measure(const std::string& app, int reps) {
   std::vector<Sample> samples;
   samples.reserve(static_cast<std::size_t>(reps));
   reset_peak_rss();
-  for (int i = 0; i < reps; ++i) samples.push_back(measure_once(row));
+  for (int i = 0; i < reps; ++i) samples.push_back(measure_once(app));
   const long rss = peak_rss_kb();
   // Median by throughput; cycle count is identical across reps (the
   // simulation is deterministic), so only the denominator varies.
@@ -155,14 +138,11 @@ Sample measure(const Row& row, int reps) {
   return s;
 }
 
-std::string json_object(const Row& row, const Sample& s) {
-  const std::uint32_t threads = row.engine == "par" ? row.shards : 1;
-  char buf[260];
+std::string json_object(const Sample& s) {
+  char buf[200];
   std::snprintf(buf, sizeof buf,
-                "{\"engine\": \"%s\", \"threads\": %u, \"cycles\": %llu, "
-                "\"wall_s_median\": %.6f, "
+                "{\"cycles\": %llu, \"wall_s_median\": %.6f, "
                 "\"cycles_per_sec\": %.1f, \"peak_rss_kb\": %ld}",
-                row.engine.c_str(), threads,
                 static_cast<unsigned long long>(s.cycles), s.wall_seconds,
                 s.cycles_per_sec, s.peak_rss_kb);
   return buf;
@@ -235,7 +215,7 @@ int main(int argc, char** argv) {
                    json_path.c_str());
       return 2;
     }
-    const Sample s = measure({"sort", "sort", "seq", 0}, reps);
+    const Sample s = measure("sort", reps);
     const double floor = 0.85 * recorded;
     std::printf("perf-smoke: sort %.0f cycles/s (recorded %.0f, floor %.0f)\n",
                 s.cycles_per_sec, recorded, floor);
@@ -250,33 +230,23 @@ int main(int argc, char** argv) {
   }
 
   // "sort" must stay first: the --check parser and the baseline
-  // extractor both key off it (layout contract above). The par rows come
-  // after every sequential row — they are trajectory data, not gated
-  // (their wall-clock depends on the host's core count; sort-par4 is the
-  // ISSUE's ≥2x-on-4-cores demonstration row).
-  const std::vector<Row> rows = {
-      {"sort", "sort", "seq", 0},          {"fft", "fft", "seq", 0},
-      {"bfs", "bfs", "seq", 0},            {"spmv", "spmv", "seq", 0},
-      {"ptrchase", "ptrchase", "seq", 0},  {"histsort", "histsort", "seq", 0},
-      {"sort-par4", "sort", "par", 4},     {"fft-par4", "fft", "par", 4},
-      {"spmv-par4", "spmv", "par", 4},
-  };
+  // extractor both key off it (layout contract above).
+  const std::vector<std::string> apps = {"sort", "fft",      "bfs",
+                                         "spmv", "ptrchase", "histsort"};
   std::ostringstream out;
   out << "{\n"
       << "  \"bench\": \"wallclock\",\n"
-      << "  \"schema\": 4,\n"
+      << "  \"schema\": 5,\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"flags\": \"registry defaults per app (procs=16 seed=1)\",\n";
-  for (const Row& row : rows) {
-    const Sample s = measure(row, reps);
+  for (const std::string& app : apps) {
+    const Sample s = measure(app, reps);
     std::printf(
-        "%-12s engine=%s threads=%u cycles=%llu median_wall=%.4fs "
-        "throughput=%.0f cycles/s peak_rss=%ldKiB\n",
-        (row.key + ":").c_str(), row.engine.c_str(),
-        row.engine == "par" ? row.shards : 1,
-        static_cast<unsigned long long>(s.cycles), s.wall_seconds,
-        s.cycles_per_sec, s.peak_rss_kb);
-    out << "  \"" << row.key << "\": " << json_object(row, s) << ",\n";
+        "%-9s cycles=%llu median_wall=%.4fs throughput=%.0f cycles/s "
+        "peak_rss=%ldKiB\n",
+        (app + ":").c_str(), static_cast<unsigned long long>(s.cycles),
+        s.wall_seconds, s.cycles_per_sec, s.peak_rss_kb);
+    out << "  \"" << app << "\": " << json_object(s) << ",\n";
   }
   if (!flags.str("baseline-from").empty())
     out << baseline_block(flags.str("baseline-from"));

@@ -154,36 +154,17 @@ if [[ -n "$violations" ]]; then
 fi
 echo "layering OK: serve/ sees only common/ + jobs/ + snapshot/ + workloads/, and src/ does not see serve/"
 
-# The execution engines (sim/engine.hpp, sim/parallel_engine.hpp) sit at
-# the top of the sim layer: the Machine selects one, the snapshot runner
-# passes the spec through. No layer below the machine may know which
-# engine runs it — PEs, networks and runtime code see only their own
-# lane's SimContext, which is what keeps a lane's code engine-agnostic
-# (the window protocol in sim/window.hpp is the sanctioned inversion,
-# like channel_hooks).
-e_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*"sim/(engine|parallel_engine)\.hpp"'
-violations=$(grep -rnE "$e_pattern" src/common src/network src/proc src/runtime || true)
-if [[ -n "$violations" ]]; then
-  echo "layering violation: src/common, src/network, src/proc and"
-  echo "src/runtime must not include the engine headers — lane code is"
-  echo "engine-agnostic; cross-lane effects go through sim/window.hpp:"
-  echo
-  echo "$violations"
-  exit 1
-fi
-
-# And the simulation layers must not pull in the host thread pool: the
-# parallel engine owns its worker threads directly, and any other host
-# threading inside the machine layers would bypass the window protocol's
-# determinism argument.
+# The simulation layers must not pull in the host thread pool: they are
+# single-threaded. Host parallelism lives across cells (emx_sweep --jobs,
+# the emx_serve worker slots), never inside one simulated machine.
 t_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*"common/thread_pool\.hpp"'
 violations=$(grep -rnE "$t_pattern" src/sim src/network src/proc src/runtime || true)
 if [[ -n "$violations" ]]; then
   echo "layering violation: the machine layers (sim/network/proc/runtime)"
-  echo "must not use common/thread_pool.hpp — host concurrency inside the"
-  echo "simulation is the parallel engine's job alone:"
+  echo "must not use common/thread_pool.hpp — the simulation layers are"
+  echo "single-threaded:"
   echo
   echo "$violations"
   exit 1
 fi
-echo "layering OK: engine headers stay above the lane layers, and no machine layer uses the host thread pool"
+echo "layering OK: no machine layer uses the host thread pool"

@@ -8,7 +8,6 @@
 #include "network/omega_network.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/global_addr.hpp"
-#include "sim/parallel_engine.hpp"
 
 namespace emx {
 
@@ -66,28 +65,9 @@ rt::ThreadBody tree_join_body(std::vector<rt::BarrierNode>* nodes,
 
 }  // namespace
 
-Machine::Machine(MachineConfig config, trace::TraceSink* sink,
-                 sim::EngineSpec engine)
+Machine::Machine(MachineConfig config, trace::TraceSink* sink)
     : config_(config), sink_(sink) {
   config_.validate();
-
-  // Engine selection. The parallel engine needs the fast network's
-  // window participant and lane-pure components: the fault decorator
-  // (cancelling retransmit timers, machine-level outage events), the
-  // dynamic checkers (one shared observer), the watchdog (a global
-  // progress clock) and the detailed network (global switch state) all
-  // run sequentially. Results are bit-identical either way, so the
-  // fallback is silent — the spec is an execution knob, not a semantic
-  // one.
-  const bool parallel =
-      engine.kind == sim::EngineSpec::Kind::kParallel &&
-      config_.network == NetworkModel::kFast && !config_.fault.enabled() &&
-      !config_.check.enabled() && config_.watchdog_cycles == 0;
-  if (parallel)
-    engine_ = std::make_unique<sim::ParallelEngine>(config_.proc_count,
-                                                    engine.shards, sink_);
-  else
-    engine_ = std::make_unique<sim::SequentialEngine>(sim_, sink_);
 
   switch (config_.network) {
     case NetworkModel::kDetailed:
@@ -100,16 +80,6 @@ Machine::Machine(MachineConfig config, trace::TraceSink* sink,
           sim_, config_.proc_count, config_.self_loop_cycles,
           config_.port_interval_cycles);
       break;
-  }
-  if (parallel) {
-    // No fault decorator in parallel mode (gated above), so network_ IS
-    // the fast model: wire it up as the engine's window participant with
-    // the per-PE lane tables.
-    auto* par = static_cast<sim::ParallelEngine*>(engine_.get());
-    auto* fast = static_cast<net::FastNetwork*>(network_.get());
-    fast->set_lanes(par->lane_table(), par->lane_index_table(),
-                    par->lane_count());
-    par->set_participant(fast);
   }
   if (config_.fault.enabled()) {
     // Decorate the fabric: faults are injected at the sender's NIC and
@@ -150,12 +120,8 @@ Machine::Machine(MachineConfig config, trace::TraceSink* sink,
 
   pes_.reserve(config_.proc_count);
   for (ProcId p = 0; p < config_.proc_count; ++p) {
-    // Each PE builds against its engine lane (the shared context under
-    // the sequential engine, its shard's under the parallel one) and the
-    // engine's per-lane trace sink.
-    pes_.push_back(std::make_unique<proc::Emcy>(engine_->lane(p), config_, p,
-                                                *network_, registry_,
-                                                engine_->pe_sink(p)));
+    pes_.push_back(std::make_unique<proc::Emcy>(sim_, config_, p, *network_,
+                                                registry_, sink_));
     // fault.reliability=false leaves the lossy plan armed but the
     // recovery protocol off — the deliberately-unrecoverable machine the
     // watchdog tests exercise.
@@ -212,7 +178,7 @@ Machine::Machine(MachineConfig config, trace::TraceSink* sink,
   // completeness tripwire — a stateful unit built above but missing here
   // panics now instead of silently dropping out of snapshots, replay
   // digests, crash dumps and the stall diagnosis.
-  components_.add(engine_->sim_component());
+  components_.add(&sim_);
   components_.add(&streams_);
   components_.add(network_.get());
   if (faulty_ != nullptr) components_.add(&fault_domain_);
@@ -222,8 +188,7 @@ Machine::Machine(MachineConfig config, trace::TraceSink* sink,
   for (const auto& pe : pes_) components_.add(pe.get());
   components_.seal();
   components_.assert_covers(
-      {engine_->sim_component(), &streams_, network_.get(),
-       faulty_ != nullptr ? &fault_domain_ : nullptr,
+      {&sim_, &streams_, network_.get(), faulty_ != nullptr ? &fault_domain_ : nullptr,
        checker_.get(), pes_.empty() ? nullptr : pes_.front().get(),
        pes_.empty() ? nullptr : pes_.back().get()});
 }
@@ -298,21 +263,21 @@ void Machine::spawn(ProcId proc, std::uint32_t entry, Word arg, Cycle at) {
 void Machine::run() {
   EMX_CHECK(!ran_, "Machine::run() called twice");
   if (config_.watchdog_cycles > 0) sim_.arm_watchdog(config_.watchdog_cycles);
-  const sim::StopReason stop = engine_->run(config_.max_events, 0);
+  const sim::StopReason stop = sim_.run_until_idle(config_.max_events);
   finish_run(stop);
 }
 
 bool Machine::run_to(Cycle pause_at) {
   EMX_CHECK(!ran_, "Machine::run_to() after the run completed");
   if (config_.watchdog_cycles > 0) sim_.arm_watchdog(config_.watchdog_cycles);
-  const sim::StopReason stop = engine_->run(config_.max_events, pause_at);
+  const sim::StopReason stop = sim_.run_until_idle(config_.max_events, pause_at);
   if (stop == sim::StopReason::kPaused) return true;
   finish_run(stop);
   return false;
 }
 
 void Machine::finish_run(sim::StopReason stop) {
-  end_cycle_ = engine_->now();
+  end_cycle_ = sim_.now();
   ran_ = true;
   watchdog_fired_ = stop == sim::StopReason::kWatchdog;
   if (watchdog_fired_) {
@@ -433,7 +398,7 @@ MachineReport Machine::report() const {
   r.total_cycles = end_cycle_;
   r.clock_hz = config_.clock_hz;
   r.network = network_->stats();
-  r.events_processed = engine_->events_processed();
+  r.events_processed = sim_.events_processed();
   r.procs.reserve(pes_.size());
   // One registry walk replaces the old hand-rolled per-unit blocks: each
   // PE appends its ProcReport (registration order == PE order), the

@@ -26,7 +26,6 @@
 #include "network/network_iface.hpp"
 #include "proc/emcy.hpp"
 #include "runtime/thread_api.hpp"
-#include "sim/engine.hpp"
 #include "sim/sim_context.hpp"
 #include "trace/trace.hpp"
 
@@ -38,13 +37,7 @@ namespace emx {
 
 class Machine {
  public:
-  /// `engine` picks who runs the event loop (sequential default). The
-  /// parallel engine requires the fast network with no fault plan, no
-  /// checkers and no watchdog; any other configuration silently runs
-  /// sequentially — results are bit-identical either way, the spec is an
-  /// execution knob, never a semantic one.
-  explicit Machine(MachineConfig config, trace::TraceSink* sink = nullptr,
-                   sim::EngineSpec engine = {});
+  explicit Machine(MachineConfig config, trace::TraceSink* sink = nullptr);
   ~Machine();
 
   Machine(const Machine&) = delete;
@@ -65,16 +58,8 @@ class Machine {
   /// this at build time — a plugin naming a unit that never made it into
   /// the sealed registry fails loudly instead of reporting into the void.
   const Component* sealed_component(const std::string& name) const;
-  /// The sequential engine's context (every PE's lane). Under the
-  /// parallel engine the PEs run on per-shard lanes instead and this
-  /// context stays at cycle 0 — use end_cycle()/report() for results.
   sim::SimContext& sim() { return sim_; }
   const sim::SimContext& sim() const { return sim_; }
-  /// The engine actually running this machine ("seq" unless the parallel
-  /// engine was requested *and* the configuration allows it) and the host
-  /// threads it runs lanes on.
-  const char* engine_name() const { return engine_->name(); }
-  std::uint32_t engine_threads() const { return engine_->threads(); }
   net::Network& network() { return *network_; }
   const net::Network& network() const { return *network_; }
   bool fault_enabled() const { return faulty_ != nullptr; }
@@ -161,8 +146,6 @@ class Machine {
 
   MachineConfig config_;
   sim::SimContext sim_;
-  /// Outlives network_ and pes_ (both hold lane pointers into it).
-  std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<net::Network> network_;
   fault::FaultyNetwork* faulty_ = nullptr;  ///< aliases network_ when armed
   fault::FaultDomain fault_domain_;

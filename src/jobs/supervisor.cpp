@@ -116,13 +116,6 @@ bool start_cell(Sweep& sw, std::size_t index, std::string& err) {
                        std::to_string(sw.opts.checkpoint_every));
     cmd.argv.push_back("--checkpoint-dir=" + cell.ck_dir);
   }
-  // The engine rides along on every attempt, resumes included: it is
-  // not part of the checkpoint's manifest (execution knob), so a resumed
-  // worker would otherwise silently fall back to the sequential loop.
-  if (sw.opts.engine == "par") {
-    cmd.argv.push_back("--engine=par");
-    cmd.argv.push_back("--shards=" + std::to_string(sw.opts.shards));
-  }
   cmd.argv.push_back("--result-json=" + cell.result_path);
   const std::string base =
       cell.dir + "/attempt-" + std::to_string(cell.attempts);

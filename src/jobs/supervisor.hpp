@@ -63,14 +63,6 @@ struct SupervisorOptions {
   bool keep_checkpoints = false;  ///< keep jobs/<key>/ck after success
   bool quiet = false;
   Clock* clock = nullptr;  ///< nullptr = real_clock()
-
-  /// Worker execution engine (emx_run --engine/--shards). An execution
-  /// knob only: it is never folded into the manifest, the cell key or
-  /// the result bytes — the engines are byte-identical by contract
-  /// (scripts/ci_parallel_determinism.sh), so a sweep's aggregate must
-  /// not depend on which engine ran it.
-  std::string engine = "seq";  ///< "seq" | "par"
-  std::uint32_t shards = 0;    ///< par: host threads; 0 = one per core
 };
 
 /// How one grid cell ended up.

@@ -9,7 +9,6 @@ namespace emx::net {
 FastNetwork::FastNetwork(sim::SimContext& sim, std::uint32_t proc_count,
                          Cycle self_latency, Cycle port_interval)
     : sim_(sim),
-      proc_count_(proc_count),
       hops_(ceil_log2(proc_count)),
       routing_(is_power_of_two(proc_count)
                    ? std::optional<ShuffleRouting>(ShuffleRouting(proc_count))
@@ -19,64 +18,20 @@ FastNetwork::FastNetwork(sim::SimContext& sim, std::uint32_t proc_count,
       inject_free_(proc_count, 0),
       eject_free_(proc_count, 0),
       self_q_(proc_count),
-      fabric_q_(proc_count),
-      delivered_(proc_count, 0) {
+      fabric_q_(proc_count) {
   EMX_CHECK(proc_count > 0, "need at least one processor");
 }
 
-void FastNetwork::set_lanes(sim::SimContext* const* lane_by_pe,
-                            const std::uint32_t* lane_index_by_pe,
-                            std::uint32_t lane_count) {
-  lane_by_pe_ = lane_by_pe;
-  lane_index_by_pe_ = lane_index_by_pe;
-  staged_.assign(lane_count, {});
-}
-
-Cycle FastNetwork::lookahead() const {
-  if (proc_count_ < 2) return 2;  // no cross-PE traffic exists at all
-  // Power-of-two P routes shortest-path on the de Bruijn edge set, which
-  // always contains one-hop pairs; other counts use the uniform
-  // hops = ceil(log2 P) for every pair.
-  const unsigned min_hops = routing_ ? 1U : hops_;
-  return static_cast<Cycle>(min_hops) + 1;
-}
-
 void FastNetwork::inject(const Packet& packet) {
-  sim::SimContext& lane = lane_of(packet.src);
-  sim::WindowLog* log = lane.window_log();
-  if (log == nullptr) {
-    apply_inject(packet, lane.now(), nullptr);
-    return;
-  }
-  // Inside a parallel window: the port timelines and counters this
-  // injection would touch are shared, and their mutation order decides
-  // bytes — stage it for the boundary merge instead. A self-loop packet
-  // never leaves the lane, so its delivery still schedules here (the
-  // staged record replays only the stat updates); the staged/schedule
-  // order mirrors the sequential stats-then-seq order exactly.
-  const std::uint32_t lane_index = lane_index_by_pe_[packet.src];
-  log->note_staged(static_cast<std::uint32_t>(staged_[lane_index].size()));
-  staged_[lane_index].push_back(Staged{packet, lane.now()});
-  if (packet.src == packet.dst) {
-    self_q_[packet.src].push_back(packet);
-    lane.schedule(self_latency_, &FastNetwork::self_deliver_event, this,
-                  packet.src, 0);
-  }
-}
-
-void FastNetwork::apply_inject(const Packet& packet, Cycle now,
-                               sim::StagedScheduler* sched) {
+  const Cycle now = sim_.now();
   ++stats_.packets_injected;
 
   if (packet.src == packet.dst) {
     ++stats_.self_deliveries;
     stats_.latency.add(static_cast<double>(self_latency_));
-    if (sched == nullptr) {
-      self_q_[packet.src].push_back(packet);
-      lane_of(packet.src).schedule(self_latency_,
-                                   &FastNetwork::self_deliver_event, this,
-                                   packet.src, 0);
-    }
+    self_q_[packet.src].push_back(packet);
+    sim_.schedule(self_latency_, &FastNetwork::self_deliver_event, this,
+                  packet.src, 0);
     return;
   }
 
@@ -110,35 +65,12 @@ void FastNetwork::apply_inject(const Packet& packet, Cycle now,
   // is FIFO in id order and the delivery event only needs the id.
   const std::uint64_t id = next_fabric_id_++;
   fabric_q_[packet.dst].emplace_back(id, packet);
-  if (sched != nullptr)
-    sched->schedule_delivery(packet.dst, arrival,
-                             &FastNetwork::fabric_deliver_event, this, id,
-                             packet.dst);
-  else
-    lane_of(packet.dst).schedule_at(arrival, &FastNetwork::fabric_deliver_event,
-                                    this, id, packet.dst);
-}
-
-void FastNetwork::resolve_staged(std::uint32_t lane, std::uint32_t index,
-                                 sim::StagedScheduler& sched) {
-  EMX_DCHECK(lane < staged_.size() && index < staged_[lane].size(),
-             "staged injection index out of range");
-  const Staged& st = staged_[lane][index];
-  apply_inject(st.packet, st.inject_time, &sched);
-}
-
-void FastNetwork::clear_staged() {
-  for (auto& lane : staged_) lane.clear();
-}
-
-const NetworkStats& FastNetwork::stats() const {
-  folded_ = stats_;
-  for (const std::uint64_t d : delivered_) folded_.packets_delivered += d;
-  return folded_;
+  sim_.schedule_at(arrival, &FastNetwork::fabric_deliver_event, this, id,
+                   packet.dst);
 }
 
 void FastNetwork::save_state(ser::Serializer& s) const {
-  stats().save(s);
+  stats_.save(s);
   for (Cycle c : inject_free_) s.u64(c);
   for (Cycle c : eject_free_) s.u64(c);
   s.u64(next_fabric_id_);
@@ -163,8 +95,7 @@ void FastNetwork::self_deliver_event(void* ctx, std::uint64_t src64,
   EMX_DCHECK(!q.empty(), "self delivery without a queued packet");
   const Packet packet = q.front();
   q.pop_front();
-  ++self->delivered_[packet.dst];
-  self->dispatch_delivery(packet);
+  self->deliver(packet);
 }
 
 void FastNetwork::fabric_deliver_event(void* ctx, std::uint64_t id,
@@ -176,8 +107,7 @@ void FastNetwork::fabric_deliver_event(void* ctx, std::uint64_t id,
              "fabric delivery out of id order");
   const Packet packet = q.front().second;
   q.pop_front();
-  ++self->delivered_[dst];
-  self->dispatch_delivery(packet);
+  self->deliver(packet);
 }
 
 }  // namespace emx::net

@@ -9,15 +9,6 @@
 // shortest-path shuffle routing exactly; for other counts (the 80-PE
 // prototype included) hops = ceil(log2 P).
 //
-// This model is also the parallel engine's window participant (see
-// sim/window.hpp): packet injection is the only cross-PE edge in the
-// machine, and its port timelines (inject_free_/eject_free_) and counters
-// are global state whose mutation order decides bytes. Under a window,
-// inject() therefore stages the packet; the boundary merge replays the
-// staged injections in canonical global order, reproducing the sequential
-// engine's port math, statistics (including the Welford latency stat's
-// IEEE-754 accumulation order) and delivery schedule bit for bit.
-//
 // In-flight packets live in canonical queues rather than a pool: per-src
 // self-loop FIFOs and per-dst fabric queues keyed by a monotonically
 // increasing injection id. Ejection-port serialization makes per-dst
@@ -32,11 +23,10 @@
 
 #include "network/network_iface.hpp"
 #include "network/routing.hpp"
-#include "sim/window.hpp"
 
 namespace emx::net {
 
-class FastNetwork final : public Network, public sim::WindowParticipant {
+class FastNetwork final : public Network {
  public:
   FastNetwork(sim::SimContext& sim, std::uint32_t proc_count,
               Cycle self_latency = 2, Cycle port_interval = 2);
@@ -48,58 +38,14 @@ class FastNetwork final : public Network, public sim::WindowParticipant {
   }
   std::string name() const override { return "omega-fast"; }
 
-  /// Folds the per-destination delivery cells into the shared counters.
-  /// Called between windows / after the run only (single-threaded).
-  const NetworkStats& stats() const override;
-
   void save_state(ser::Serializer& s) const override;
 
-  // --- sim::WindowParticipant ---
-
-  /// Minimum cycles from any cross-PE cause to its earliest effect: the
-  /// fabric's minimum hop count + 1 cut-through cycle, over all src!=dst
-  /// pairs — so the bound holds for every possible lane partition. The
-  /// shuffle fabric always has a one-hop pair (the de Bruijn graph's edge
-  /// set), giving k+1 = 2 for power-of-two P; other counts use the
-  /// uniform hops = ceil(log2 P).
-  Cycle lookahead() const override;
-  void resolve_staged(std::uint32_t lane, std::uint32_t index,
-                      sim::StagedScheduler& sched) override;
-  void clear_staged() override;
-
-  /// Parallel mode: per-PE lane contexts and lane indices (arrays owned
-  /// by the engine, indexed by ProcId), plus the lane count for the
-  /// staging buffers. Without this call every PE schedules on the
-  /// construction-time context (sequential mode).
-  void set_lanes(sim::SimContext* const* lane_by_pe,
-                 const std::uint32_t* lane_index_by_pe,
-                 std::uint32_t lane_count);
-
  private:
-  /// An injection captured inside a window, replayed at the boundary.
-  struct Staged {
-    Packet packet;
-    Cycle inject_time = 0;
-  };
-
   static void self_deliver_event(void* ctx, std::uint64_t src, std::uint64_t);
   static void fabric_deliver_event(void* ctx, std::uint64_t id,
                                    std::uint64_t dst);
 
-  sim::SimContext& lane_of(ProcId pe) {
-    return lane_by_pe_ != nullptr ? *lane_by_pe_[pe] : sim_;
-  }
-
-  /// The injection-time math: counters, port timelines, latency stat,
-  /// delivery scheduling. Sequential mode calls it directly from
-  /// inject(); window mode calls it from resolve_staged() with `sched`
-  /// set, which routes fabric deliveries through the engine (self
-  /// deliveries were already scheduled lane-locally at injection).
-  void apply_inject(const Packet& packet, Cycle now,
-                    sim::StagedScheduler* sched);
-
   sim::SimContext& sim_;
-  std::uint32_t proc_count_;
   unsigned hops_;
   std::optional<ShuffleRouting> routing_;
   Cycle self_latency_;
@@ -115,17 +61,6 @@ class FastNetwork final : public Network, public sim::WindowParticipant {
   /// deliveries pop the front.
   std::vector<std::deque<std::pair<std::uint64_t, Packet>>> fabric_q_;
   std::uint64_t next_fabric_id_ = 0;
-
-  /// Per-destination delivery counts: the one delivery-path statistic,
-  /// kept shard-local (a lane delivers only to its own PEs) and folded
-  /// into stats() between windows.
-  std::vector<std::uint64_t> delivered_;
-  mutable NetworkStats folded_;  ///< stats() return slot
-
-  // Parallel mode wiring (null/empty under the sequential engine).
-  sim::SimContext* const* lane_by_pe_ = nullptr;
-  const std::uint32_t* lane_index_by_pe_ = nullptr;
-  std::vector<std::vector<Staged>> staged_;  ///< per lane, window order
 };
 
 }  // namespace emx::net

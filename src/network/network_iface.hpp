@@ -95,14 +95,6 @@ class Network : public Component {
  protected:
   void deliver(const Packet& packet) {
     ++stats_.packets_delivered;
-    dispatch_delivery(packet);
-  }
-
-  /// Handler dispatch without the shared delivered counter. Models that
-  /// account deliveries per destination (shard-safe under the parallel
-  /// engine: each lane owns its PEs' counters exclusively) call this and
-  /// fold the cells into stats() themselves.
-  void dispatch_delivery(const Packet& packet) {
     if (table_ != nullptr) {
       EMX_DCHECK(packet.dst < table_count_, "packet to unknown PE");
       const DeliveryEndpoint& e = table_[packet.dst];

@@ -172,13 +172,6 @@ bool start_exec(Daemon& d, Exec& e, std::string& err) {
                        std::to_string(d.opts.progress_every));
     cmd.argv.push_back("--progress-file=" + e.progress_path);
   }
-  // The engine rides along on every attempt, resumes included: it is
-  // not part of the checkpoint's manifest (execution knob), so a
-  // preempted-and-resumed worker would otherwise fall back to seq.
-  if (d.opts.engine == "par") {
-    cmd.argv.push_back("--engine=par");
-    cmd.argv.push_back("--shards=" + std::to_string(d.opts.shards));
-  }
   cmd.argv.push_back("--result-json=" + e.result_path);
   const std::string base = e.dir + "/attempt-" + std::to_string(e.attempts);
   cmd.stdout_path = base + ".stdout";

@@ -44,13 +44,6 @@ struct DaemonOptions {
   std::uint64_t cache_max_bytes = 0;        ///< result-cache cap; 0 = none
   bool quiet = false;
   jobs::Clock* clock = nullptr;  ///< nullptr = real_clock()
-
-  /// Worker execution engine (emx_run --engine/--shards). Execution
-  /// knob only — never part of a job's key, manifest or result bytes;
-  /// results are byte-identical across engines by contract, so the
-  /// result cache stays valid whichever engine filled it.
-  std::string engine = "seq";  ///< "seq" | "par"
-  std::uint32_t shards = 0;    ///< par: host threads; 0 = one per core
 };
 
 /// Runs the daemon until a `drain` request has been honored (all work

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "sim/window.hpp"
 
 namespace emx::sim {
 
@@ -80,17 +79,7 @@ void EventQueue::rehome(Cycle new_cursor) {
 std::uint64_t EventQueue::push(Cycle time, EventFn fn, void* ctx,
                                std::uint64_t a, std::uint64_t b) {
   EMX_DCHECK(fn != nullptr, "event without handler");
-  std::uint64_t id;
-  if (wlog_ != nullptr) {
-    // Window mode: the final seq depends on the global dispatch order the
-    // boundary merge decides; tag a provisional number above every final
-    // one so append order within a bucket still equals seq order.
-    id = kProvisionalSeqBit | wlog_->note_push();
-  } else if (shared_seq_ != nullptr) {
-    id = (*shared_seq_)++;
-  } else {
-    id = next_seq_++;
-  }
+  const std::uint64_t id = next_seq_++;
   // An empty queue lets the cursor jump straight to the new event's
   // cycle — the wheel never scans across a gap no event occupies.
   if (records_ == 0) cursor_ = time;
@@ -99,31 +88,7 @@ std::uint64_t EventQueue::push(Cycle time, EventFn fn, void* ctx,
   return id;
 }
 
-void EventQueue::insert_final(const Event& ev) {
-  EMX_DCHECK((ev.seq & kProvisionalSeqBit) == 0, "insert_final of provisional seq");
-  if (records_ == 0) cursor_ = ev.time;
-  insert(ev);
-  ++records_;
-}
-
-void EventQueue::finalize_window_seqs(const std::vector<std::uint64_t>& finals) {
-  const auto fix = [&finals](Event& ev) {
-    if ((ev.seq & kProvisionalSeqBit) == 0) return;
-    const auto index = static_cast<std::size_t>(ev.seq & ~kProvisionalSeqBit);
-    EMX_DCHECK(index < finals.size(), "unresolved provisional seq");
-    ev.seq = finals[index];
-  };
-  for (Bucket& b : wheel_)
-    for (std::size_t i = b.head; i < b.events.size(); ++i) fix(b.events[i]);
-  for (Event& ev : far_) fix(ev);
-}
-
 void EventQueue::cancel(std::uint64_t id) {
-  // Provisional ids would index the tombstone bitmap at 2^57 words; the
-  // parallel engine is gated off every configuration that cancels
-  // (reliability timers), so this cannot fire.
-  EMX_CHECK((id & kProvisionalSeqBit) == 0,
-            "cancel of a window-provisional event");
   const std::size_t w = static_cast<std::size_t>(id >> 6);
   if (w >= tomb_bits_.size()) tomb_bits_.resize(w + 1, 0);
   const std::uint64_t mask = std::uint64_t{1} << (id & 63u);

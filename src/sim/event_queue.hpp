@@ -34,8 +34,6 @@
 
 namespace emx::sim {
 
-struct WindowLog;
-
 /// Event handler: receives the opaque context plus two payload words.
 using EventFn = void (*)(void* ctx, std::uint64_t a, std::uint64_t b);
 
@@ -89,49 +87,6 @@ class EventQueue {
   /// Returns the event's id, usable with cancel().
   std::uint64_t push(Cycle time, EventFn fn, void* ctx, std::uint64_t a,
                      std::uint64_t b);
-
-  // --- parallel-engine surface (see sim/window.hpp) -----------------------
-  // A lane queue runs in one of three push modes:
-  //   plain     seq = next_seq_++ (the sequential engine, and every test)
-  //   shared    seq = (*shared_seq_)++ — all lanes draw from one global
-  //             counter, so host-side pushes before the run (spawns, app
-  //             setup) get exactly the sequence numbers the sequential
-  //             engine would assign in the same call order
-  //   window    seq = kProvisionalSeqBit | log->note_push() — the final
-  //             number is not knowable until the boundary merge decides
-  //             the global dispatch order; the tag bit keeps provisional
-  //             seqs above every final seq so bucket append order holds,
-  //             and finalize_window_seqs() rewrites them in place
-
-  /// Tag bit marking a seq as window-provisional; the low bits index the
-  /// owning WindowLog's push actions.
-  static constexpr std::uint64_t kProvisionalSeqBit = std::uint64_t{1} << 63;
-
-  /// Enters (non-null) or leaves (null) window push mode.
-  void set_window_log(WindowLog* log) { wlog_ = log; }
-
-  /// Switches plain mode to shared-counter mode for the queue's lifetime.
-  void set_shared_seq(std::uint64_t* counter) { shared_seq_ = counter; }
-
-  /// Inserts a fully-formed event whose seq is already final (staged
-  /// cross-lane deliveries routed in at a boundary merge). Must not be
-  /// called while any record still carries a provisional seq.
-  void insert_final(const Event& ev);
-
-  /// Rewrites every live provisional seq to finals[index]. The mapping is
-  /// strictly increasing in index, so relative order — and with it every
-  /// bucket/heap invariant — is preserved.
-  void finalize_window_seqs(const std::vector<std::uint64_t>& finals);
-
-  /// Visits every live record, storage order (callers sort as needed).
-  template <typename Fn>
-  void for_each_live(Fn&& fn) const {
-    for (const Bucket& b : wheel_)
-      for (std::size_t i = b.head; i < b.events.size(); ++i)
-        if (!tombstoned(b.events[i].seq)) fn(b.events[i]);
-    for (const Event& ev : far_)
-      if (!tombstoned(ev.seq)) fn(ev);
-  }
 
   /// Marks a scheduled-but-not-yet-fired event as dead: one bit set in a
   /// bitmap indexed by event id (memory cost: 1 bit per event ever
@@ -209,8 +164,6 @@ class EventQueue {
   std::vector<std::uint64_t> tomb_bits_;  ///< 1 bit per event id
   std::size_t tomb_live_ = 0;  ///< cancelled records still stored
   std::uint64_t next_seq_ = 0;
-  WindowLog* wlog_ = nullptr;          ///< non-null inside a parallel window
-  std::uint64_t* shared_seq_ = nullptr;  ///< lane mode: engine-global counter
 };
 
 }  // namespace emx::sim

@@ -1,7 +1,5 @@
 #include "sim/sim_context.hpp"
 
-#include "sim/window.hpp"
-
 namespace emx::sim {
 
 void SimContext::dispatch_one() {
@@ -10,9 +8,6 @@ void SimContext::dispatch_one() {
   now_ = ev.time;
   ++processed_;
   ev.fn(ev.ctx, ev.a, ev.b);
-  // After the handler: the Dispatch row's action/trace spans then cover
-  // everything the handler pushed, staged and traced.
-  if (wlog_ != nullptr) wlog_->close_dispatch(ev.time, ev.seq);
 }
 
 StopReason SimContext::run_until_idle(std::uint64_t max_events, Cycle pause_at) {

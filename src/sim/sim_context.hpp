@@ -1,7 +1,5 @@
-// The simulation context: clock plus the event queue. The sequential
-// engine runs one context for the whole Machine; the parallel engine runs
-// one per shard ("lane") and keeps them deterministic through the window
-// protocol in sim/window.hpp. Each context is single-threaded either way.
+// The simulation context: global clock plus the event queue. One context
+// per simulated Machine; the simulator is single-threaded and deterministic.
 #pragma once
 
 #include <cstdint>
@@ -103,42 +101,6 @@ class SimContext final : public Component {
   /// payload or unknown handler id.
   bool load(ser::Deserializer& d, const EventFnTable& table);
 
-  // --- parallel-engine surface (see sim/window.hpp) -----------------------
-
-  /// Enters window mode: pushes get provisional seqs and every dispatch
-  /// is journalled into `log` until end_window_log().
-  void begin_window_log(WindowLog* log) {
-    wlog_ = log;
-    queue_.set_window_log(log);
-  }
-  void end_window_log() {
-    wlog_ = nullptr;
-    queue_.set_window_log(nullptr);
-  }
-  /// Non-null while a window is running on this lane — how the network
-  /// model detects that an injection must stage instead of applying.
-  WindowLog* window_log() const { return wlog_; }
-
-  /// Draws all future seqs from an engine-global counter (lane mode).
-  void share_seq_counter(std::uint64_t* counter) {
-    queue_.set_shared_seq(counter);
-  }
-
-  /// Next pending event's time. Requires !idle().
-  Cycle next_event_time() const { return queue_.top().time; }
-
-  /// Routes a boundary-merged cross-lane event (final seq) into the queue.
-  void insert_ready_event(const Event& ev) { queue_.insert_final(ev); }
-
-  void finalize_window_seqs(const std::vector<std::uint64_t>& finals) {
-    queue_.finalize_window_seqs(finals);
-  }
-
-  template <typename Fn>
-  void for_each_live_event(Fn&& fn) const {
-    queue_.for_each_live(fn);
-  }
-
   // --- Component ---
   const char* component_name() const override { return "sim"; }
   void save_state(ser::Serializer& s) const override { save(s, nullptr); }
@@ -153,7 +115,6 @@ class SimContext final : public Component {
   EventQueue queue_;
   LateScheduleHook late_hook_ = nullptr;
   void* late_ctx_ = nullptr;
-  WindowLog* wlog_ = nullptr;  ///< non-null while a parallel window runs
 };
 
 }  // namespace emx::sim

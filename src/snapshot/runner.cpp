@@ -120,16 +120,6 @@ RunResult run(const RunOptions& opts) {
     if (!err.empty()) return fail(2, err);
     if (resume_file.kind != FileKind::kCheckpoint)
       return fail(2, opts.resume_path + ": not a checkpoint file");
-    if (resume_file.version < kFormatVersion)
-      return fail(2, opts.resume_path + ": format v" +
-                         std::to_string(resume_file.version) +
-                         " checkpoint cannot be resumed by this build — "
-                         "its state sections use an older encoding (v2 "
-                         "changed the event-queue payload, v3 the fast "
-                         "network's in-flight packets), so "
-                         "byte-verification against a rebuilt machine can "
-                         "never pass. Re-capture the "
-                         "checkpoint with this build.");
     RunManifest saved;
     err = read_header(resume_file, saved, resume_cycle);
     if (!err.empty()) return fail(2, opts.resume_path + ": " + err);
@@ -147,13 +137,6 @@ RunResult run(const RunOptions& opts) {
     SnapshotFile rec;
     std::string err = rec.read_file(opts.replay_path);
     if (!err.empty()) return fail(2, err);
-    if (rec.version < kFormatVersion && rec.kind == FileKind::kRecording)
-      return fail(2, opts.replay_path + ": format v" +
-                         std::to_string(rec.version) +
-                         " recording cannot be replayed by this build — "
-                         "its digest frames were computed over older "
-                         "section encodings (pre-v2 event queue, pre-v3 "
-                         "fast-network packets). Re-record with this build.");
     err = replay.open(rec);
     if (!err.empty()) return fail(2, opts.replay_path + ": " + err);
     const std::string mismatch = replay.manifest().diff(m);
@@ -202,17 +185,8 @@ RunResult run(const RunOptions& opts) {
   }
 
   // --- build the machine + workload from the manifest ---
-  // Workloads that keep zero-latency host-side channels between PEs
-  // declare themselves window-unsafe; they run the sequential loop
-  // regardless of --engine (results are identical either way — that is
-  // the engine contract — this just refuses the one case where the
-  // window protocol could not hold it).
-  sim::EngineSpec engine = opts.engine;
-  if (const workloads::Spec* spec = workloads::Registry::instance().find(m.app);
-      spec != nullptr && !spec->window_safe)
-    engine.kind = sim::EngineSpec::Kind::kSequential;
   trace::DigestSink digest(opts.sink);
-  Machine machine(m.config, &digest, engine);
+  Machine machine(m.config, &digest);
   std::unique_ptr<workloads::Workload> workload;
   {
     std::string err;

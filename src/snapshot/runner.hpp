@@ -19,7 +19,6 @@
 
 #include "common/types.hpp"
 #include "core/instrumentation.hpp"
-#include "sim/engine.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/manifest.hpp"
 #include "verify/verifier.hpp"
@@ -33,13 +32,6 @@ namespace emx::snapshot {
 struct RunOptions {
   RunManifest manifest;
   bool verify_result = true;
-
-  /// Execution engine (--engine/--shards). Deliberately NOT part of the
-  /// manifest: results, digests, snapshot bytes and manifest CRCs are
-  /// engine-independent, so a checkpoint captured under one engine
-  /// resumes under another and caches/dedup keyed on the manifest CRC
-  /// stay engine-agnostic.
-  sim::EngineSpec engine;
 
   /// Checkpointing: write a full snapshot every N cycles (0 = off) into
   /// `checkpoint_dir`. The directory is also where crash dumps land.

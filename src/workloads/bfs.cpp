@@ -252,10 +252,6 @@ void register_bfs_workload(Registry& registry) {
   spec.default_size_per_proc = 512;
   spec.default_threads = 4;
   spec.metrics_component = "sim";
-  // The level-drain protocol polls the host-side inflight_ counter that
-  // remote-visit threads on other PEs decrement — a zero-latency cross-PE
-  // channel the window engine cannot order. Pin to the sequential loop.
-  spec.window_safe = false;
   spec.build = [](Machine& machine, const Params& params)
       -> std::unique_ptr<Workload> {
     BfsParams bp;

@@ -204,10 +204,6 @@ void register_histsort_workload(Registry& registry) {
   spec.default_size_per_proc = 512;
   spec.default_threads = 4;
   spec.metrics_component = "sim";
-  // Same drain pattern as bfs: the scatter phase polls the host-side
-  // inflight_ counter that remote-append threads decrement — a
-  // zero-latency cross-PE channel. Pin to the sequential loop.
-  spec.window_safe = false;
   spec.build = [](Machine& machine, const Params& params)
       -> std::unique_ptr<Workload> {
     HistsortParams hp;

@@ -62,8 +62,7 @@ class PtrchaseApp final : public Workload {
   PtrchaseParams params_;
   std::vector<Word> ring_;  ///< host mirror: node -> next node
   /// Metric counters, one cell per PE: a cell is only ever touched by
-  /// threads running on that PE, so the cells stay race-free when the
-  /// parallel engine runs PEs on different host threads.
+  /// threads running on that PE, and contribute() sums the cells.
   struct PeCounters {
     std::uint64_t local_hops = 0;
     std::uint64_t remote_hops = 0;

@@ -45,16 +45,6 @@ struct Spec {
   /// registry (and with it, snapshots and replay digests).
   std::string metrics_component = "sim";
 
-  /// Whether the workload's thread bodies confine every cross-PE
-  /// interaction to the network (packets have >= the fabric's lookahead
-  /// of latency, which is what makes conservative time windows safe).
-  /// Workloads that keep zero-latency host-side channels between PEs —
-  /// e.g. an in-flight counter one PE polls while others decrement it —
-  /// must clear this; the runner then pins them to the sequential
-  /// engine, where results are identical by construction. See
-  /// DESIGN.md §15.
-  bool window_safe = true;
-
   /// Constructs the application over `machine` (registers its thread
   /// entries, loads PE memories, spawns workers) and returns the built
   /// instance. Panics (EMX_CHECK) on unsatisfiable parameters.

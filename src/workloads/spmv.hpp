@@ -71,8 +71,7 @@ class SpmvApp final : public Workload {
   std::vector<float> vals_;   ///< host mirror: n * row_nnz values
   std::vector<float> x_;      ///< host mirror: the input vector
   /// Metric counters, one cell per PE: a cell is only ever touched by
-  /// threads running on that PE, so the cells stay race-free when the
-  /// parallel engine runs PEs on different host threads.
+  /// threads running on that PE, and contribute() sums the cells.
   struct PeCounters {
     std::uint64_t local_gathers = 0;
     std::uint64_t remote_gathers = 0;

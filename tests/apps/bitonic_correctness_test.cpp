@@ -9,8 +9,11 @@
 namespace emx::apps {
 namespace {
 
+// No padding (procs is 64-bit): the ctest name carries gtest's raw-byte
+// dump of this struct, and a padding hole would put uninitialised memory
+// into it.
 struct Case {
-  std::uint32_t procs;
+  std::uint64_t procs;
   std::uint64_t n;
   std::uint32_t threads;
   NetworkModel net;

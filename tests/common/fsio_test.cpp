@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/test_dir.hpp"
+
 namespace emx::fsio {
 namespace {
 
@@ -17,11 +19,7 @@ namespace fs = std::filesystem;
 class FsioTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("fsio_" + std::string(
-                          ::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name()));
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

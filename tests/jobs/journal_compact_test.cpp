@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fsio.hpp"
+#include "common/test_dir.hpp"
 
 namespace emx::jobs {
 namespace {
@@ -22,7 +23,7 @@ namespace fs = std::filesystem;
 class JournalCompactTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "journal_compact_test";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     path_ = (dir_ / "journal.jsonl").string();

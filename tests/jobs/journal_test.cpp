@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fsio.hpp"
+#include "common/test_dir.hpp"
 
 namespace emx::jobs {
 namespace {
@@ -20,7 +21,7 @@ namespace fs = std::filesystem;
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "journal_test";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     path_ = (dir_ / "journal.jsonl").string();

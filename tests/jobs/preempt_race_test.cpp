@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/test_dir.hpp"
 #include "jobs/clock.hpp"
 #include "jobs/process_pool.hpp"
 #include "jobs/supervisor.hpp"
@@ -27,7 +28,7 @@ namespace fs = std::filesystem;
 class PreemptRaceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "preempt_race_test";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_ / "ck");
   }

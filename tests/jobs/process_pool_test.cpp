@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/test_dir.hpp"
+
 namespace emx::jobs {
 namespace {
 
@@ -75,7 +77,7 @@ TEST(ProcessPool, KillsAtTheDeadlineAndFlagsTimeout) {
 }
 
 TEST(ProcessPool, CapturesStdoutAndStderr) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "pool_capture";
+  const fs::path dir = emx::test::test_dir();
   fs::remove_all(dir);
   fs::create_directories(dir);
   ProcessPool pool(real_clock());

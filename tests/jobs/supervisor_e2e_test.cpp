@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.hpp"
+#include "common/test_dir.hpp"
 #include "jobs/supervisor.hpp"
 
 namespace emx::jobs {
@@ -24,7 +25,7 @@ namespace fs = std::filesystem;
 class SupervisorE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "supervisor_e2e";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fsio.hpp"
+#include "common/test_dir.hpp"
 
 namespace emx::jobs {
 namespace {
@@ -71,7 +72,7 @@ TEST(SupervisorPolicy, BackoffDoublesToTheCap) {
 }
 
 TEST(SupervisorPolicy, LatestCheckpointIgnoresCrashDumpsAndPicksNewest) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "latest_ck";
+  const fs::path dir = emx::test::test_dir();
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto touch = [&dir](const std::string& name) {
@@ -94,7 +95,7 @@ TEST(SupervisorPolicy, LatestCheckpointIgnoresCrashDumpsAndPicksNewest) {
 class SupervisorStubTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "supervisor_stub";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

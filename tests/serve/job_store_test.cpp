@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/test_dir.hpp"
+
 namespace emx::serve {
 namespace {
 
@@ -17,7 +19,7 @@ namespace fs = std::filesystem;
 class JobStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "job_store_test";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     out_ = (dir_ / "out").string();

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serializer.hpp"
+#include "common/test_dir.hpp"
 #include "snapshot/format.hpp"
 
 namespace emx::snapshot {
@@ -55,7 +56,7 @@ std::uint8_t decode_tag(const std::string& path) {
 class AtomicWriteTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "atomic_write_test";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     target_ = (dir_ / "snap.emxsnap").string();

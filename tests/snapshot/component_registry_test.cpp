@@ -40,7 +40,7 @@ TEST(ComponentRegistry, MachineCaptureOrderMatchesGoldenSections) {
   // really misalignment.
   snapshot::SnapshotFile golden;
   ASSERT_EQ(golden.read_file(EMX_TEST_DATA_DIR
-                             "/snapshot/golden/tiny_v2.emxsnap"),
+                             "/snapshot/golden/tiny_v3.emxsnap"),
             "");
 
   MachineConfig cfg;

@@ -1,24 +1,15 @@
-// Format-stability contract: snapshots written by past builds must keep
-// *decoding* in every future build, and the current version's golden must
-// keep resuming. The golden files under tests/snapshot/golden/ are
-// checked in and never regenerated for their own version; a new one is
-// added at each format bump (docs/CHECKPOINT.md records the recipe).
+// Format-stability contract: the current format version has a checked-in
+// golden that decodes, resumes and byte-verifies in every build, and files
+// of older versions are refused at read time with one clear message. The
+// golden files under tests/snapshot/golden/ are checked in and never
+// regenerated for their own version; a new one is added at each format
+// bump (docs/CHECKPOINT.md records the recipe).
 //
-// v1 -> v2 (component registry refactor): the container layout is
-// unchanged, but the "sim" section's event-queue payload moved to the
-// canonical (seq-sorted, tombstone-free) encoding. A v1 file therefore
-// still decodes — manifest extraction and section listing work — but it
-// can no longer be byte-verified against a rebuilt machine, so resume
-// and replay refuse it up front with a readable error instead of dying
-// with a late verification failure.
-//
-// v2 -> v3 (parallel engine): the fast network's "network" section moved
-// to the canonical per-source/per-destination queue encoding so that
-// sequential and parallel runs serialize identically. Same policy: v2
-// containers decode, v2 resume/replay are refused up front.
+// tiny_v1 and tiny_v2 stay in the tree as rejection inputs: v2 changed the
+// "sim" section's event-queue payload and v3 the fast network's in-flight
+// packets, so neither can byte-verify against a rebuilt machine.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 #include "snapshot/format.hpp"
@@ -43,92 +34,75 @@ const char* golden_v3_path() {
   return EMX_TEST_DATA_DIR "/snapshot/golden/tiny_v3.emxsnap";
 }
 
-TEST(GoldenFormat, EveryHistoricalVersionHasALoader) {
-  // Bumping kFormatVersion obliges a loader shim for the old layout and
-  // an entry here; this is the tripwire that enforces it.
-  const auto versions = SnapshotFile::supported_versions();
-  for (std::uint32_t v = 1; v <= kFormatVersion; ++v) {
-    EXPECT_TRUE(std::find(versions.begin(), versions.end(), v) !=
-                versions.end())
-        << "format version " << v << " has no loader — add a decode shim "
-        << "and list it in supported_versions()";
-  }
-}
-
-TEST(GoldenFormat, CheckedInV1SnapshotStillDecodes) {
-  SnapshotFile file;
-  ASSERT_EQ(file.read_file(golden_v1_path()), "")
-      << "the checked-in v1 golden snapshot no longer decodes — the "
-      << "container format changed incompatibly";
-  EXPECT_EQ(file.version, 1u);
-  EXPECT_EQ(file.kind, FileKind::kCheckpoint);
-  ASSERT_NE(file.find("manifest"), nullptr);
-  EXPECT_NE(file.find("sim"), nullptr);
-  EXPECT_NE(file.find("streams"), nullptr);
-  EXPECT_NE(file.find("network"), nullptr);
-  EXPECT_NE(file.find("pe0"), nullptr);
-}
-
-TEST(GoldenFormat, GoldenV1ManifestFieldsSurvive) {
+/// The recipe every golden was captured with (see docs/CHECKPOINT.md).
+RunManifest golden_manifest() {
   RunManifest m;
   Cycle cycle = 0;
-  ASSERT_EQ(load_manifest(golden_v1_path(), FileKind::kCheckpoint, m, cycle),
-            "")
-      << "the v1 golden snapshot's manifest no longer parses";
-  // The recipe the golden file was generated with (see docs/CHECKPOINT.md).
-  EXPECT_EQ(m.app, "sort");
-  EXPECT_EQ(m.size_per_proc, 16u);
-  EXPECT_EQ(m.threads, 2u);
-  EXPECT_EQ(m.config.proc_count, 4u);
-  EXPECT_GT(cycle, 0u);
+  EXPECT_EQ(load_manifest(golden_v3_path(), FileKind::kCheckpoint, m, cycle),
+            "");
+  return m;
+}
+
+void expect_predates(const std::string& err, std::uint32_t version) {
+  EXPECT_NE(err.find("format v" + std::to_string(version) + " predates v3; "
+                     "re-capture with this build"),
+            std::string::npos)
+      << err;
+}
+
+TEST(GoldenFormat, CurrentVersionHasACheckedInGolden) {
+  // Bumping kFormatVersion obliges a new golden, captured with the recipe
+  // in docs/CHECKPOINT.md; this is the tripwire that enforces it. The
+  // tests below then resume and byte-verify it.
+  const std::string path = std::string(EMX_TEST_DATA_DIR) +
+                           "/snapshot/golden/tiny_v" +
+                           std::to_string(kFormatVersion) + ".emxsnap";
+  SnapshotFile file;
+  ASSERT_EQ(file.read_file(path), "")
+      << "format v" << kFormatVersion << " has no decodable golden";
+  EXPECT_EQ(file.version, kFormatVersion);
+}
+
+TEST(GoldenFormat, V1SnapshotIsRejectedAtRead) {
+  SnapshotFile file;
+  expect_predates(file.read_file(golden_v1_path()), 1);
+}
+
+TEST(GoldenFormat, V2SnapshotIsRejectedAtRead) {
+  SnapshotFile file;
+  expect_predates(file.read_file(golden_v2_path()), 2);
 }
 
 TEST(GoldenFormat, V1ResumeRefusedWithReadableError) {
-  RunManifest m;
-  Cycle cycle = 0;
-  ASSERT_EQ(load_manifest(golden_v1_path(), FileKind::kCheckpoint, m, cycle),
-            "");
-
   RunOptions opts;
-  opts.manifest = m;
+  opts.manifest = golden_manifest();
   opts.resume_path = golden_v1_path();
   const RunResult r = run(opts);
   // Usage-level refusal (exit 2), not a late verification failure (5):
   // the error must name the version and say what to do about it.
   EXPECT_EQ(r.exit_code, 2) << r.error;
-  EXPECT_NE(r.error.find("format v1"), std::string::npos) << r.error;
-  EXPECT_NE(r.error.find("Re-capture"), std::string::npos) << r.error;
-}
-
-TEST(GoldenFormat, CheckedInV2SnapshotDecodes) {
-  SnapshotFile file;
-  ASSERT_EQ(file.read_file(golden_v2_path()), "")
-      << "the checked-in v2 golden snapshot no longer decodes";
-  EXPECT_EQ(file.version, 2u);
-  EXPECT_EQ(file.kind, FileKind::kCheckpoint);
-  ASSERT_NE(file.find("manifest"), nullptr);
-  EXPECT_NE(file.find("sim"), nullptr);
-  EXPECT_NE(file.find("streams"), nullptr);
-  EXPECT_NE(file.find("network"), nullptr);
-  EXPECT_NE(file.find("pe0"), nullptr);
+  expect_predates(r.error, 1);
 }
 
 TEST(GoldenFormat, V2ResumeRefusedWithReadableError) {
-  // v3 re-encoded the fast network's in-flight packets; a v2 state
-  // section no longer matches a live machine, so resume must refuse it
-  // up front exactly as it refuses v1.
-  RunManifest m;
-  Cycle cycle = 0;
-  ASSERT_EQ(load_manifest(golden_v2_path(), FileKind::kCheckpoint, m, cycle),
-            "");
-
   RunOptions opts;
-  opts.manifest = m;
+  opts.manifest = golden_manifest();
   opts.resume_path = golden_v2_path();
   const RunResult r = run(opts);
   EXPECT_EQ(r.exit_code, 2) << r.error;
-  EXPECT_NE(r.error.find("format v2"), std::string::npos) << r.error;
-  EXPECT_NE(r.error.find("Re-capture"), std::string::npos) << r.error;
+  expect_predates(r.error, 2);
+}
+
+TEST(GoldenFormat, OldVersionReplayRefusedWithReadableError) {
+  for (const auto& [path, version] :
+       {std::pair{golden_v1_path(), 1u}, std::pair{golden_v2_path(), 2u}}) {
+    RunOptions opts;
+    opts.manifest = golden_manifest();
+    opts.replay_path = path;
+    const RunResult r = run(opts);
+    EXPECT_EQ(r.exit_code, 2) << r.error;
+    expect_predates(r.error, version);
+  }
 }
 
 TEST(GoldenFormat, CheckedInV3SnapshotDecodes) {
@@ -161,26 +135,6 @@ TEST(GoldenFormat, GoldenV3SnapshotResumesAndVerifies) {
   RunOptions opts;
   opts.manifest = m;
   opts.resume_path = golden_v3_path();
-  const RunResult r = run(opts);
-  EXPECT_EQ(r.exit_code, 0) << r.error;
-  EXPECT_TRUE(r.result_checked);
-  EXPECT_TRUE(r.result_ok);
-}
-
-TEST(GoldenFormat, GoldenV3ResumesUnderTheParallelEngine) {
-  // Engine independence of the format: a checkpoint captured under one
-  // engine byte-verifies and resumes under the other. The v3 golden was
-  // captured sequentially; resume it sharded.
-  RunManifest m;
-  Cycle cycle = 0;
-  ASSERT_EQ(load_manifest(golden_v3_path(), FileKind::kCheckpoint, m, cycle),
-            "");
-
-  RunOptions opts;
-  opts.manifest = m;
-  opts.resume_path = golden_v3_path();
-  opts.engine.kind = sim::EngineSpec::Kind::kParallel;
-  opts.engine.shards = 2;
   const RunResult r = run(opts);
   EXPECT_EQ(r.exit_code, 0) << r.error;
   EXPECT_TRUE(r.result_checked);

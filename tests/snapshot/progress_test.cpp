@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serializer.hpp"
+#include "common/test_dir.hpp"
 #include "snapshot/runner.hpp"
 
 namespace emx::snapshot {
@@ -84,7 +85,7 @@ TEST(ProgressFormatTest, ValidCrcWithMalformedBodyIsAWriterError) {
 }
 
 TEST(ProgressObserverTest, ArmingProgressChangesNoCycles) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "progress_observer";
+  const fs::path dir = emx::test::test_dir();
   fs::remove_all(dir);
   fs::create_directories(dir);
 

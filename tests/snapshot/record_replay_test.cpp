@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/test_dir.hpp"
 #include "snapshot/record_replay.hpp"
 #include "snapshot/runner.hpp"
 
@@ -25,7 +26,7 @@ RunManifest tiny_sort() {
 std::string record_run(const RunManifest& m, const char* tag,
                        Cycle digest_every) {
   const std::string path =
-      ::testing::TempDir() + "emx_rec_" + tag + ".emxsnap";
+      emx::test::test_dir(std::string(tag) + ".emxsnap").string();
   RunOptions rec;
   rec.manifest = m;
   rec.record_path = path;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/test_dir.hpp"
 #include "snapshot/runner.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -37,7 +38,7 @@ RunManifest tiny_fft() {
 }
 
 std::string fresh_dir(const char* tag) {
-  const std::string dir = ::testing::TempDir() + "emx_rt_" + tag;
+  const std::string dir = emx::test::test_dir(tag).string();
   std::filesystem::remove_all(dir);
   return dir;
 }

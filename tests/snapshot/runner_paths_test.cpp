@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fsio.hpp"
+#include "common/test_dir.hpp"
 #include "snapshot/runner.hpp"
 
 namespace emx::snapshot {
@@ -19,7 +20,7 @@ namespace fs = std::filesystem;
 class RunnerPathsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "runner_paths_test";
+    dir_ = emx::test::test_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     // A regular file: any path *under* it fails with ENOTDIR, which

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/test_dir.hpp"
 #include "snapshot/format.hpp"
 
 namespace emx::snapshot {
@@ -125,7 +126,7 @@ TEST(SnapshotFormat, DetectsCorruption) {
 }
 
 TEST(SnapshotFormat, WriteReadFile) {
-  const std::string path = ::testing::TempDir() + "emx_format_test.emxsnap";
+  const std::string path = emx::test::test_dir("emxsnap").string();
   SnapshotFile file;
   file.kind = FileKind::kRecording;
   Serializer a;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <string>
 
+#include "common/test_dir.hpp"
 #include "snapshot/runner.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workloads/registry.hpp"
@@ -38,7 +39,7 @@ TEST(ManifestApp, ResumedManifestRejectsUnknownApp) {
   const snapshot::RunManifest m = test::tiny_manifest("ptrchase", 64, 2, 4);
   snapshot::RunOptions ck;
   ck.manifest = m;
-  ck.checkpoint_dir = ::testing::TempDir() + "emx_wl_unknown_app";
+  ck.checkpoint_dir = emx::test::test_dir().string();
   std::filesystem::remove_all(ck.checkpoint_dir);
   {
     snapshot::RunOptions probe;

@@ -12,8 +12,11 @@
 namespace emx::workloads {
 namespace {
 
+// No padding (procs is 64-bit): the ctest name carries gtest's raw-byte
+// dump of this struct, and a padding hole would put uninitialised memory
+// into it.
 struct Point {
-  std::uint32_t procs;
+  std::uint64_t procs;
   std::uint64_t size_per_proc;
   std::uint32_t threads;
   std::uint32_t hops;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <string>
 
+#include "common/test_dir.hpp"
 #include "snapshot/runner.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -60,7 +61,7 @@ inline void expect_roundtrip(const snapshot::RunManifest& m,
 
   snapshot::RunOptions ck = base;
   ck.checkpoint_every = baseline.end_cycle / 3;
-  ck.checkpoint_dir = ::testing::TempDir() + "emx_wl_" + tag;
+  ck.checkpoint_dir = emx::test::test_dir(tag).string();
   std::filesystem::remove_all(ck.checkpoint_dir);
   const snapshot::RunResult checkpointed = snapshot::run(ck);
   ASSERT_EQ(checkpointed.exit_code, 0) << checkpointed.error;

@@ -1,7 +1,6 @@
 // emx_run — the one-stop command-line driver for the EM-X simulator.
 //
 //   $ emx_run --app=sort --procs=16 --size-per-proc=1024 --threads=4
-//   $ emx_run --app=sort --engine=par --shards=4   # same cycles, 4 host threads
 //   $ emx_run --app=fft --procs=64 --threads=2 --network=detailed
 //   $ emx_run --app=sort --checkpoint-every=100000 --checkpoint-dir=ck
 //   $ emx_run --resume=ck/sort-c000000200000.emxsnap
@@ -274,13 +273,6 @@ int main(int argc, char** argv) {
       .define("dma-service", "16", "by-pass DMA service latency, cycles")
       .define("dma-interval", "32", "by-pass DMA occupancy per request")
       .define("poll-interval", "24", "barrier re-check period, cycles")
-      .define("engine", "seq",
-              "seq | par: par shards PEs across host threads under "
-              "conservative time windows; results, digests and snapshots "
-              "are byte-identical to seq")
-      .define("shards", "0",
-              "par engine: PE shards / host threads (0 = one per "
-              "hardware core, capped at the PE count)")
       .define("report", "text", "text | csv")
       .define("verify", "true", "check the application result")
       .define("fault-drop-rate", "0", "P(drop) per tracked fabric packet")
@@ -371,15 +363,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (flags.str("engine") != "seq" && flags.str("engine") != "par") {
-    std::fprintf(stderr, "emx_run: --engine=%s is not an engine (want seq | par)\n",
-                 flags.str("engine").c_str());
-    return 2;
-  }
-  if (flags.integer("shards") < 0) {
-    std::fprintf(stderr, "emx_run: --shards must be >= 0\n");
-    return 2;
-  }
   if (flags.integer("checkpoint-every") < 0) {
     std::fprintf(stderr, "emx_run: --checkpoint-every must be >= 0\n");
     return 2;
@@ -461,12 +444,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   opts.manifest = manifest;
-  // Execution knobs only — never merged into the manifest, so a resume
-  // or replay may pick a different engine than the capturing run.
-  opts.engine.kind = flags.str("engine") == "par"
-                         ? sim::EngineSpec::Kind::kParallel
-                         : sim::EngineSpec::Kind::kSequential;
-  opts.engine.shards = static_cast<std::uint32_t>(flags.integer("shards"));
   opts.verify_result = flags.boolean("verify");
   opts.checkpoint_every = static_cast<Cycle>(flags.integer("checkpoint-every"));
   opts.checkpoint_dir = flags.str("checkpoint-dir");

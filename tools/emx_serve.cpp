@@ -55,12 +55,6 @@ int main(int argc, char** argv) {
       .define("cache-max-bytes", "0",
               "result-cache size cap with LRU eviction; entries live jobs "
               "reference are pinned and never evicted. 0 = no cap")
-      .define("engine", "seq",
-              "worker execution engine (seq | par); job results are "
-              "byte-identical either way, so the result cache stays valid")
-      .define("shards", "0",
-              "par engine: PE shards / host threads per worker (0 = one "
-              "per hardware core)")
       .define("quiet", "false", "suppress per-job progress on stderr");
   flags.parse(argc, argv);
 
@@ -90,17 +84,6 @@ int main(int argc, char** argv) {
   opts.cache_max_bytes =
       static_cast<std::uint64_t>(flags.integer("cache-max-bytes"));
   opts.quiet = flags.boolean("quiet");
-  opts.engine = flags.str("engine");
-  opts.shards = static_cast<std::uint32_t>(flags.integer("shards"));
-  if (opts.engine != "seq" && opts.engine != "par") {
-    std::fprintf(stderr, "emx_serve: --engine=%s is not an engine (want seq | par)\n",
-                 opts.engine.c_str());
-    return 2;
-  }
-  if (flags.integer("shards") < 0) {
-    std::fprintf(stderr, "emx_serve: --shards must be >= 0\n");
-    return 2;
-  }
   if (flags.integer("jobs") <= 0 || flags.integer("retries") < 0 ||
       flags.integer("max-per-tenant") < 0 || flags.integer("timeout-s") < 0 ||
       flags.integer("backoff-ms") < 0 ||

@@ -98,12 +98,6 @@ int main(int argc, char** argv) {
               "sweep references are pinned and never evicted. 0 = no cap")
       .define("keep-checkpoints", "false",
               "keep per-job checkpoints after success (default: cleaned)")
-      .define("engine", "seq",
-              "worker execution engine (seq | par); results and the "
-              "aggregate are byte-identical either way")
-      .define("shards", "0",
-              "par engine: PE shards / host threads per worker (0 = one "
-              "per hardware core)")
       .define("dry-run", "false",
               "print the expanded job list and exit without running")
       .define("quiet", "false", "suppress per-job progress on stderr");
@@ -174,17 +168,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.integer("cache-max-bytes"));
   opts.keep_checkpoints = flags.boolean("keep-checkpoints");
   opts.quiet = flags.boolean("quiet");
-  opts.engine = flags.str("engine");
-  opts.shards = static_cast<std::uint32_t>(flags.integer("shards"));
-  if (opts.engine != "seq" && opts.engine != "par") {
-    std::fprintf(stderr, "emx_sweep: --engine=%s is not an engine (want seq | par)\n",
-                 opts.engine.c_str());
-    return 2;
-  }
-  if (flags.integer("shards") < 0) {
-    std::fprintf(stderr, "emx_sweep: --shards must be >= 0\n");
-    return 2;
-  }
   if (flags.integer("jobs") <= 0 || flags.integer("retries") < 0 ||
       flags.integer("timeout-s") < 0 || flags.integer("backoff-ms") < 0 ||
       flags.integer("checkpoint-every") < 0 ||
