@@ -153,18 +153,3 @@ if [[ -n "$violations" ]]; then
   exit 1
 fi
 echo "layering OK: serve/ sees only common/ + jobs/ + snapshot/ + workloads/, and src/ does not see serve/"
-
-# The simulation layers must not pull in the host thread pool: they are
-# single-threaded. Host parallelism lives across cells (emx_sweep --jobs,
-# the emx_serve worker slots), never inside one simulated machine.
-t_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*"common/thread_pool\.hpp"'
-violations=$(grep -rnE "$t_pattern" src/sim src/network src/proc src/runtime || true)
-if [[ -n "$violations" ]]; then
-  echo "layering violation: the machine layers (sim/network/proc/runtime)"
-  echo "must not use common/thread_pool.hpp — the simulation layers are"
-  echo "single-threaded:"
-  echo
-  echo "$violations"
-  exit 1
-fi
-echo "layering OK: no machine layer uses the host thread pool"

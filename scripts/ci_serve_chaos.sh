@@ -6,8 +6,8 @@
 # byte-identical to a clean serial emx_run of the same recipe (cmp, not
 # diff: the claim is bytes), and a post-drain resubmit must come back
 # `cached` — proof the dedup path against the result cache fires. A
-# `resumed:` provenance token shows the checkpoint-preemption/resume
-# path carried jobs across the kills.
+# `resumed:` provenance token shows the periodic-checkpoint resume path
+# carried jobs across preemptions and kills.
 #
 # Usage: scripts/ci_serve_chaos.sh [emx_serve] [emx_client] [emx_run]
 set -euo pipefail
@@ -25,7 +25,7 @@ OUT="$work/out"
 # loop cannot exhaust anyone's budget.
 DAEMON=("$SERVE" --socket="$SOCK" --out="$OUT" --jobs=2 --retries=10
         --backoff-ms=1 --checkpoint-every=500 --progress-every=500
-        --preempt-grace-ms=2000 --quiet=true)
+        --quiet=true)
 
 # The batch: 8 distinct recipes, two tenants, priorities spread 0..9.
 # Kept small so the gate stays fast; the chaos, not the workload, is

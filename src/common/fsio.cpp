@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace emx::fsio {
@@ -99,6 +101,15 @@ std::string atomic_write_file(const std::string& path, const void* data,
 std::string atomic_write_file(const std::string& path,
                               const std::string& bytes) {
   return atomic_write_file(path, bytes.data(), bytes.size());
+}
+
+bool read_file(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  out = ss.str();
+  return true;
 }
 
 std::string ensure_writable_dir(const std::string& dir) {

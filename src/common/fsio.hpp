@@ -29,6 +29,10 @@ std::string atomic_write_file(const std::string& path, const void* data,
 std::string atomic_write_file(const std::string& path,
                               const std::string& bytes);
 
+/// Reads the whole file at `path` into `out`. Returns false when it
+/// cannot be opened.
+bool read_file(const std::string& path, std::string& out);
+
 /// Creates `dir` (and parents) if needed and proves it is writable by
 /// creating and removing a probe file inside it. Returns "" on success.
 std::string ensure_writable_dir(const std::string& dir);

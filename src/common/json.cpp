@@ -410,4 +410,15 @@ std::string escape(std::string_view s) {
   return out;
 }
 
+std::string quote(std::string_view s) {
+  // Built with += rather than a chained + — the chain trips GCC 12's
+  // -Wrestrict false positive at -O3.
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  out += escape(s);
+  out += '"';
+  return out;
+}
+
 }  // namespace emx::json

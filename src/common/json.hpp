@@ -90,4 +90,7 @@ class Value {
 /// to control what its CRC covers.
 std::string escape(std::string_view s);
 
+/// escape(s) inside double quotes: a complete JSON string literal.
+std::string quote(std::string_view s);
+
 }  // namespace emx::json

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cstdio>
 
 namespace emx::ser {
 namespace {
@@ -50,6 +51,12 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   }
   while (size-- != 0) c = kCrcTables[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+std::string crc_hex(std::uint32_t crc) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "%08x", crc);
+  return buf;
 }
 
 }  // namespace emx::ser

@@ -32,6 +32,10 @@ namespace emx::ser {
 /// run it inside the simulation hot loop.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
+/// `crc` as 8 lowercase hex digits: how journals, cache entries and
+/// sweep provenance spell a CRC.
+std::string crc_hex(std::uint32_t crc);
+
 class Serializer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }

@@ -4,34 +4,8 @@
 #include <cstdlib>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 
 namespace emx {
-
-std::vector<SweepPoint> run_sweep(
-    const std::vector<std::uint64_t>& sizes,
-    const std::vector<std::uint32_t>& thread_counts,
-    const std::function<MachineReport(std::uint32_t threads, std::uint64_t n)>& run,
-    bool parallel) {
-  std::vector<SweepPoint> points(sizes.size() * thread_counts.size());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
-      auto& p = points[si * thread_counts.size() + ti];
-      p.n = sizes[si];
-      p.threads = thread_counts[ti];
-    }
-  }
-  auto work = [&](std::size_t i) {
-    points[i].report = run(points[i].threads, points[i].n);
-  };
-  if (parallel) {
-    ThreadPool pool;
-    parallel_for(pool, points.size(), work);
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) work(i);
-  }
-  return points;
-}
 
 std::string size_label(std::uint64_t n) {
   char buf[32];

@@ -1,32 +1,10 @@
-// Experiment runner: sweeps thread counts / data sizes across fresh
-// Machines and collects the per-figure series. Independent configurations
-// run in parallel on host worker threads (each owns its whole Machine).
+// Paper-style problem-size labels for the figure benches and sweeps.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
-
-#include "core/instrumentation.hpp"
 
 namespace emx {
-
-/// One measured configuration.
-struct SweepPoint {
-  std::uint32_t threads = 1;
-  std::uint64_t n = 0;  ///< total elements / points
-  MachineReport report;
-};
-
-/// Runs `run(threads, n)` for the cross product of the two axes.
-/// `parallel` uses one host thread per hardware core; results are returned
-/// in deterministic (n-major, threads-minor) order regardless.
-std::vector<SweepPoint> run_sweep(
-    const std::vector<std::uint64_t>& sizes,
-    const std::vector<std::uint32_t>& thread_counts,
-    const std::function<MachineReport(std::uint32_t threads, std::uint64_t n)>& run,
-    bool parallel = true);
 
 /// Formats a size such as 524288 as "512K", 8388608 as "8M" (the paper's
 /// axis labels).

@@ -1,21 +1,18 @@
 #include "jobs/aggregate.hpp"
 
-#include <cstdio>
-
 #include "common/fsio.hpp"
 #include "common/json.hpp"
+#include "common/serializer.hpp"
 
 namespace emx::jobs {
 
 namespace {
 
 json::Value header(const SweepSpec& spec) {
-  char digest[16];
-  std::snprintf(digest, sizeof digest, "%08x", spec.digest());
   json::Value v = json::Value::object();
   v.set("schema", json::Value::integer(1));
   v.set("sweep", json::Value::string(spec.name));
-  v.set("spec_digest", json::Value::string(digest));
+  v.set("spec_digest", json::Value::string(ser::crc_hex(spec.digest())));
   return v;
 }
 

@@ -1,8 +1,6 @@
 #include "jobs/journal.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -83,12 +81,10 @@ bool parse_content(const std::string& path, const std::string& content,
     }
     const std::string body = line.substr(0, marker);
     const std::string tail = line.substr(marker + sizeof kCrcMarker - 1);
-    char want_buf[16];
-    std::snprintf(want_buf, sizeof want_buf, "%08x",
-                  ser::crc32(body.data(), body.size()));
-    if (tail != std::string(want_buf) + "\"}") {
+    const std::string want = ser::crc_hex(ser::crc32(body.data(), body.size()));
+    if (tail != want + "\"}") {
       if (!damaged("crc mismatch (line says \"" + tail.substr(0, 8) +
-                   "\", bytes say \"" + want_buf + "\")"))
+                   "\", bytes say \"" + want + "\")"))
         return false;
       return true;
     }
@@ -135,20 +131,6 @@ bool parse_content(const std::string& path, const std::string& content,
   return true;
 }
 
-bool read_all(const std::string& path, std::string& out, bool& exists) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    exists = false;
-    out.clear();
-    return true;
-  }
-  exists = true;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
 }  // namespace
 
 std::string JournalEntry::field(const std::string& key) const {
@@ -164,16 +146,13 @@ std::string format_line(std::uint64_t seq, const std::string& event,
                      json::escape(event) + "\"";
   for (const auto& [key, value] : raw_fields)
     body += ",\"" + json::escape(key) + "\":" + value;
-  char crc_buf[16];
-  std::snprintf(crc_buf, sizeof crc_buf, "%08x",
-                ser::crc32(body.data(), body.size()));
-  return body + kCrcMarker + crc_buf + "\"}\n";
+  return body + kCrcMarker +
+         ser::crc_hex(ser::crc32(body.data(), body.size())) + "\"}\n";
 }
 
 bool Journal::open(const std::string& path, std::string& err) {
   std::string content;
-  bool exists = false;
-  read_all(path, content, exists);
+  const bool exists = fsio::read_file(path, content);
 
   std::vector<JournalEntry> entries;
   std::size_t good_prefix = 0;
@@ -218,8 +197,7 @@ bool Journal::append(const std::string& event,
 bool Journal::load(const std::string& path, std::vector<JournalEntry>& out,
                    std::string& warning, std::string& err) {
   std::string content;
-  bool exists = false;
-  read_all(path, content, exists);
+  fsio::read_file(path, content);  // a missing journal loads as empty
   std::size_t good_prefix = 0;
   return parse_content(path, content, out, good_prefix, warning, err);
 }

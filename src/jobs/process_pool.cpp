@@ -132,14 +132,6 @@ std::size_t ProcessPool::poll(std::vector<ExitStatus>& out) {
   return reaped;
 }
 
-bool ProcessPool::signal_child(std::uint64_t tag, int sig) {
-  for (const Child& c : children_) {
-    if (c.tag != tag) continue;
-    return ::kill(c.pid, sig) == 0;
-  }
-  return false;
-}
-
 bool ProcessPool::kill_child(std::uint64_t tag) {
   for (Child& c : children_) {
     if (c.tag != tag) continue;

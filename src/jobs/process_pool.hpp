@@ -64,16 +64,11 @@ class ProcessPool {
   /// SIGKILLs and reaps every child. Used on supervisor shutdown paths.
   void kill_all();
 
-  // --- preemption hooks (the emx_serve daemon's half of the story) ---
-
-  /// Sends `sig` to the child tagged `tag` (e.g. SIGUSR1 to request a
-  /// checkpoint-on-demand). Returns false when no such child is running.
-  bool signal_child(std::uint64_t tag, int sig);
-
-  /// SIGKILLs the child tagged `tag` on the caller's behalf; its
-  /// eventual ExitStatus carries `preempted = true` so the caller can
-  /// distinguish its own kill from a crash or a deadline kill. Returns
-  /// false when no such child is running.
+  /// SIGKILLs the child tagged `tag` on the caller's behalf (the
+  /// emx_serve daemon's preemption); its eventual ExitStatus carries
+  /// `preempted = true` so the caller can distinguish its own kill from
+  /// a crash or a deadline kill. Returns false when no such child is
+  /// running.
   bool kill_child(std::uint64_t tag);
 
  private:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include <fcntl.h>
@@ -18,15 +16,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char kSuffix[] = ".json";
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
 
 }  // namespace
 
@@ -84,7 +73,7 @@ std::string ResultCache::path_for(const std::string& key) const {
 }
 
 bool ResultCache::lookup(const std::string& key, std::string& bytes) {
-  if (!read_file(path_for(key), bytes)) return false;
+  if (!fsio::read_file(path_for(key), bytes)) return false;
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     // Published behind our back (e.g. by a previous incarnation after

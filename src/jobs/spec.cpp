@@ -2,22 +2,16 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <set>
-#include <sstream>
 
+#include "common/fsio.hpp"
 #include "common/json.hpp"
+#include "common/serializer.hpp"
 #include "workloads/registry.hpp"
 
 namespace emx::jobs {
 
 namespace {
-
-std::string crc_hex(std::uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%08x", crc);
-  return buf;
-}
 
 std::uint32_t manifest_crc(const snapshot::RunManifest& m) {
   ser::Serializer s;
@@ -219,7 +213,7 @@ std::string job_key(const snapshot::RunManifest& m) {
                 m.config.proc_count,
                 static_cast<unsigned long long>(m.size_per_proc), m.threads,
                 static_cast<unsigned long long>(m.seed),
-                crc_hex(manifest_crc(m)).c_str());
+                ser::crc_hex(manifest_crc(m)).c_str());
   return buf;
 }
 
@@ -356,14 +350,12 @@ bool SweepSpec::from_json(const std::string& text, SweepSpec& out,
 
 bool SweepSpec::from_file(const std::string& path, SweepSpec& out,
                          std::string& err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!fsio::read_file(path, text)) {
     err = "cannot read spec file '" + path + "'";
     return false;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return from_json(ss.str(), out, err);
+  return from_json(text, out, err);
 }
 
 std::string SweepSpec::canonical_json() const {
@@ -385,7 +377,8 @@ std::string SweepSpec::canonical_json() const {
   v.set("threads", ints(threads));
   v.set("sizes_per_proc", ints(sizes_per_proc));
   v.set("seeds", ints(seeds));
-  v.set("base_manifest_crc", json::Value::string(crc_hex(manifest_crc(base))));
+  v.set("base_manifest_crc",
+        json::Value::string(ser::crc_hex(manifest_crc(base))));
   return v.dump();
 }
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -21,32 +19,6 @@ namespace emx::jobs {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string jstr(const std::string& s) {
-  // Built with += rather than a chained + — the chain trips GCC 12's
-  // -Wrestrict false positive at -O3 (same workaround as the test rule).
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  out += json::escape(s);
-  out += '"';
-  return out;
-}
-
-std::string crc_hex(std::uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%08x", crc);
-  return buf;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
 
 struct CellState {
   JobSpec job;
@@ -95,7 +67,7 @@ bool start_cell(Sweep& sw, std::size_t index, std::string& err) {
 
   if (!sw.journal.append(
           "start",
-          {{"job", jstr(cell.job.key)},
+          {{"job", json::quote(cell.job.key)},
            {"attempt", std::to_string(cell.attempts)},
            {"resume", resuming ? "1" : "0"}},
           err))
@@ -129,9 +101,9 @@ bool start_cell(Sweep& sw, std::size_t index, std::string& err) {
     // Spawn failure is host pressure, not a verdict on the job: burn the
     // attempt, back off, retry like a killed worker.
     if (!sw.journal.append("fail",
-                           {{"job", jstr(cell.job.key)},
+                           {{"job", json::quote(cell.job.key)},
                             {"attempt", std::to_string(cell.attempts)},
-                            {"reason", jstr("spawn: " + spawn_err)}},
+                            {"reason", json::quote("spawn: " + spawn_err)}},
                            err))
       return false;
     cell.ready_at = sw.clock.now_ms() +
@@ -158,7 +130,8 @@ bool give_up(Sweep& sw, CellState& cell, const std::string& reason,
              std::string& err) {
   if (!sw.journal.append(
           "give-up",
-          {{"job", jstr(cell.job.key)}, {"reason", jstr(reason)}}, err))
+          {{"job", json::quote(cell.job.key)}, {"reason", json::quote(reason)}},
+          err))
     return false;
   cell.state = CellState::kFailed;
   cell.status = "failed:" + reason;
@@ -169,9 +142,9 @@ bool give_up(Sweep& sw, CellState& cell, const std::string& reason,
 bool schedule_retry(Sweep& sw, CellState& cell, const std::string& reason,
                     bool from_scratch, std::string& err) {
   if (!sw.journal.append("fail",
-                         {{"job", jstr(cell.job.key)},
+                         {{"job", json::quote(cell.job.key)},
                           {"attempt", std::to_string(cell.attempts)},
-                          {"reason", jstr(reason)}},
+                          {"reason", json::quote(reason)}},
                          err))
     return false;
   if (from_scratch) {
@@ -202,10 +175,12 @@ bool handle_worker_ok(Sweep& sw, CellState& cell, std::string& err) {
     return give_up(sw, cell, bad, err);
   }
 
-  const std::string crc = crc_hex(ser::crc32(bytes.data(), bytes.size()));
+  const std::string crc = ser::crc_hex(ser::crc32(bytes.data(), bytes.size()));
   if (!sw.journal.append(
           "done",
-          {{"job", jstr(cell.job.key)}, {"result_crc", jstr(crc)}}, err))
+          {{"job", json::quote(cell.job.key)},
+           {"result_crc", json::quote(crc)}},
+          err))
     return false;
   const std::string werr = sw.cache.publish(cell.job.key, bytes);
   if (!werr.empty()) {
@@ -312,7 +287,7 @@ std::int64_t backoff_delay_ms(unsigned attempt, std::int64_t base,
 }
 
 std::string audit_result(const std::string& result_path, std::string& bytes) {
-  if (!read_file(result_path, bytes)) return "no-result-file";
+  if (!fsio::read_file(result_path, bytes)) return "no-result-file";
   std::string perr;
   const json::Value v = json::Value::parse(bytes, perr);
   if (!perr.empty() || !v.is_object()) return "unparseable-result";
@@ -375,11 +350,11 @@ int run_sweep(const SupervisorOptions& opts, SweepOutcome& out,
     std::fprintf(stderr, "emx_sweep: warning: %s\n", warning.c_str());
   if (!sw.journal.open(journal_path, err)) return 2;
 
-  const std::string digest = crc_hex(opts.spec.digest());
+  const std::string digest = ser::crc_hex(opts.spec.digest());
   if (entries.empty()) {
     if (!sw.journal.append("sweep",
-                           {{"name", jstr(opts.spec.name)},
-                            {"digest", jstr(digest)},
+                           {{"name", json::quote(opts.spec.name)},
+                            {"digest", json::quote(digest)},
                             {"cells", std::to_string(jobs.size())}},
                            err))
       return 2;
@@ -413,7 +388,7 @@ int run_sweep(const SupervisorOptions& opts, SweepOutcome& out,
     const auto it = done_crc.find(cell.job.key);
     std::string bytes;
     if (it != done_crc.end() && sw.cache.lookup(cell.job.key, bytes) &&
-        crc_hex(ser::crc32(bytes.data(), bytes.size())) == it->second) {
+        ser::crc_hex(ser::crc32(bytes.data(), bytes.size())) == it->second) {
       cell.state = CellState::kDone;
       cell.status = "cached";
       cell.result_bytes = std::move(bytes);
@@ -494,24 +469,24 @@ int run_sweep(const SupervisorOptions& opts, SweepOutcome& out,
     std::vector<JournalEntry> keep;
     JournalEntry header;
     header.event = "sweep";
-    header.raw_fields = {{"name", jstr(opts.spec.name)},
-                         {"digest", jstr(digest)},
+    header.raw_fields = {{"name", json::quote(opts.spec.name)},
+                         {"digest", json::quote(digest)},
                          {"cells", std::to_string(sw.cells.size())}};
     keep.push_back(std::move(header));
     for (const CellState& cell : sw.cells) {
       JournalEntry e;
       if (cell.state == CellState::kDone) {
         e.event = "done";
-        const std::string crc = crc_hex(
+        const std::string crc = ser::crc_hex(
             ser::crc32(cell.result_bytes.data(), cell.result_bytes.size()));
-        e.raw_fields = {{"job", jstr(cell.job.key)},
-                        {"result_crc", jstr(crc)}};
+        e.raw_fields = {{"job", json::quote(cell.job.key)},
+                        {"result_crc", json::quote(crc)}};
       } else {
         e.event = "give-up";
         std::string reason = cell.status;
         if (reason.rfind("failed:", 0) == 0) reason = reason.substr(7);
-        e.raw_fields = {{"job", jstr(cell.job.key)},
-                        {"reason", jstr(reason)}};
+        e.raw_fields = {{"job", json::quote(cell.job.key)},
+                        {"reason", json::quote(reason)}};
       }
       keep.push_back(std::move(e));
     }

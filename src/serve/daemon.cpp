@@ -6,15 +6,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/fsio.hpp"
 #include "jobs/process_pool.hpp"
 #include "jobs/supervisor.hpp"
 #include "serve/job_store.hpp"
@@ -30,15 +29,6 @@ namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 void on_stop(int) { g_stop = 1; }
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
 
 /// One client connection: a byte-buffered, non-blocking line pump.
 struct Conn {
@@ -163,10 +153,9 @@ bool start_exec(Daemon& d, Exec& e, std::string& err) {
   if (d.opts.checkpoint_every > 0)
     cmd.argv.push_back("--checkpoint-every=" +
                        std::to_string(d.opts.checkpoint_every));
-  // The checkpoint dir and signal arming ride along even when periodic
-  // checkpoints are off: they are what make preemption recoverable.
+  // The checkpoint dir rides along even when periodic checkpoints are
+  // off: crash dumps land there.
   cmd.argv.push_back("--checkpoint-dir=" + e.ck_dir);
-  cmd.argv.push_back("--checkpoint-on-signal=true");
   if (d.opts.progress_every > 0) {
     cmd.argv.push_back("--progress-every=" +
                        std::to_string(d.opts.progress_every));
@@ -240,8 +229,10 @@ bool schedule(Daemon& d, std::string& err) {
   }
 
   // Every slot busy and work still queued: preempt strictly lower-
-  // priority running work via checkpoint-on-demand, then (below) the
-  // kill once a checkpoint lands or the grace expires.
+  // priority running work by killing it now. The victim re-queues at
+  // full retry credit and resumes from its newest periodic checkpoint
+  // (handle_exit); checkpoint writes are atomic, so a kill racing one
+  // never leaves a torn file under a checkpoint name.
   if (d.pool.running() >= d.opts.parallel) {
     const std::vector<ExecView> queued = queued_views(d, now);
     const std::size_t pick =
@@ -253,33 +244,13 @@ bool schedule(Daemon& d, std::string& err) {
         Exec* victim = d.store.find_exec(running[vic].key);
         if (victim != nullptr && !victim->preempt_pending) {
           victim->preempt_pending = true;
-          victim->preempt_deadline = now + d.opts.preempt_grace_ms;
-          victim->preempt_ck_seen =
-              jobs::latest_checkpoint(victim->ck_dir,
-                                      victim->job.manifest.app);
           const auto tag = d.key_tag.find(victim->key);
-          if (tag != d.key_tag.end())
-            d.pool.signal_child(tag->second, SIGUSR1);
+          if (tag != d.key_tag.end()) d.pool.kill_child(tag->second);
           d.note("emx_serve: " + victim->key +
                  ": preempting for priority " +
                  std::to_string(queued[pick].priority) + " work\n");
         }
       }
-    }
-  }
-
-  // Preemption handshakes in flight: SIGKILL once a fresh checkpoint
-  // appeared, or the worker ran out of grace. The checkpoint write is
-  // atomic, so killing a worker mid-write can never leave a torn file
-  // under a checkpoint name — resume always sees an intact snapshot.
-  for (auto& [key, e] : d.store.execs()) {
-    if (e.state != Exec::State::kRunning || !e.preempt_pending) continue;
-    const std::string ck =
-        jobs::latest_checkpoint(e.ck_dir, e.job.manifest.app);
-    const bool fresh = !ck.empty() && ck != e.preempt_ck_seen;
-    if (fresh || d.clock.now_ms() >= e.preempt_deadline) {
-      const auto tag = d.key_tag.find(key);
-      if (tag != d.key_tag.end()) d.pool.kill_child(tag->second);
     }
   }
   return true;
@@ -382,7 +353,7 @@ void pump_watch(Daemon& d, Conn& conn) {
     const Exec* e = d.store.find_exec(job->key);
     if (e == nullptr || d.opts.progress_every == 0) return;
     std::string buf;
-    if (!read_file(e->progress_path, buf)) return;
+    if (!fsio::read_file(e->progress_path, buf)) return;
     // A new attempt truncates the progress file; follow it back.
     if (buf.size() < conn.watch_off) conn.watch_off = 0;
     std::vector<snapshot::ProgressRecord> recs;

@@ -11,13 +11,14 @@
 // records it, so the crash story stays the supervisor's — journal
 // first, act second, converge on restart.
 //
-// Preemption is cooperative-then-forceful: when higher-priority work is
-// queued and every slot is busy, the lowest-priority running worker is
-// sent SIGUSR1 (checkpoint-on-demand); once a fresh checkpoint appears
-// — or a grace deadline expires — the worker is SIGKILLed and its exec
-// re-queued to resume from the newest checkpoint on disk. Checkpoint
-// writes are atomic, so a kill racing the checkpoint write costs at
-// most one interval of re-execution, never a torn resume point.
+// Preemption is a kill: when higher-priority work is queued and every
+// slot is busy, the lowest-priority running worker is SIGKILLed at once
+// and its exec re-queued, with no retry spent, to resume from its
+// newest periodic checkpoint (or from scratch when it has none). A
+// restore re-executes from cycle 0 anyway, so an on-demand checkpoint
+// would save the victim no work. Checkpoint writes are atomic, so a
+// kill racing one costs at most one interval of re-execution, never a
+// torn resume point.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,6 @@ struct DaemonOptions {
   std::int64_t timeout_ms = 0;  ///< per-attempt wall clock; 0 = none
   std::int64_t backoff_ms = 250;
   std::int64_t backoff_max_ms = 8000;
-  std::int64_t preempt_grace_ms = 1000;  ///< checkpoint wait before SIGKILL
   std::uint64_t checkpoint_every = 100000;  ///< cycles; 0 disarms
   std::uint64_t progress_every = 50000;     ///< cycles; 0 disarms watch
   std::uint64_t cache_max_bytes = 0;        ///< result-cache cap; 0 = none

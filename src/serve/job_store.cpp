@@ -12,23 +12,8 @@ namespace emx::serve {
 
 namespace {
 
-std::string jstr(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  out += json::escape(s);
-  out += '"';
-  return out;
-}
-
-std::string crc_hex(std::uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%08x", crc);
-  return buf;
-}
-
 std::string bytes_crc(const std::string& bytes) {
-  return crc_hex(ser::crc32(bytes.data(), bytes.size()));
+  return ser::crc_hex(ser::crc32(bytes.data(), bytes.size()));
 }
 
 std::uint64_t to_u64(const std::string& s) {
@@ -63,8 +48,8 @@ bool JobStore::open(const std::string& out_dir,
   if (!replay(entries, err)) return false;
   if (!journal_.open(journal_path, err)) return false;
   if (entries.empty()) {
-    if (!journal_.append("serve",
-                         {{"name", jstr("serve")}, {"version", "1"}}, err))
+    if (!journal_.append(
+            "serve", {{"name", json::quote("serve")}, {"version", "1"}}, err))
       return false;
   }
   return true;
@@ -178,17 +163,18 @@ bool JobStore::submit(const Request& req, JobRecord*& job, std::string& err) {
       !attach_live && cache_.lookup(req.job.key, cached_bytes);
 
   if (!journal_.append("submit",
-                       {{"id", jstr(id)},
-                        {"tenant", jstr(req.tenant)},
+                       {{"id", json::quote(id)},
+                        {"tenant", json::quote(req.tenant)},
                         {"priority", std::to_string(req.priority)},
-                        {"key", jstr(req.job.key)},
+                        {"key", json::quote(req.job.key)},
                         {"run", req.raw_run}},
                        err))
     return false;
   if (cached &&
       !journal_.append(
           "cached",
-          {{"id", jstr(id)}, {"result_crc", jstr(bytes_crc(cached_bytes))}},
+          {{"id", json::quote(id)},
+           {"result_crc", json::quote(bytes_crc(cached_bytes))}},
           err))
     return false;
 
@@ -225,7 +211,7 @@ bool JobStore::cancel(const std::string& id, bool& found, bool& was_live,
   if (it == jobs_.end()) return true;
   found = true;
   if (it->second.state != JobRecord::State::kLive) return true;
-  if (!journal_.append("cancel", {{"id", jstr(id)}}, err)) return false;
+  if (!journal_.append("cancel", {{"id", json::quote(id)}}, err)) return false;
   was_live = true;
   JobRecord& job = it->second;
   job.state = JobRecord::State::kCanceled;
@@ -237,7 +223,7 @@ bool JobStore::cancel(const std::string& id, bool& found, bool& was_live,
 
 bool JobStore::record_start(Exec& e, bool resuming, std::string& err) {
   if (!journal_.append("start",
-                       {{"key", jstr(e.key)},
+                       {{"key", json::quote(e.key)},
                         {"attempt", std::to_string(e.attempts + 1)},
                         {"resume", resuming ? "1" : "0"}},
                        err))
@@ -252,8 +238,8 @@ bool JobStore::record_start(Exec& e, bool resuming, std::string& err) {
 bool JobStore::record_done(Exec& e, const std::string& bytes,
                            std::string& err) {
   if (!journal_.append("done",
-                       {{"key", jstr(e.key)},
-                        {"result_crc", jstr(bytes_crc(bytes))},
+                       {{"key", json::quote(e.key)},
+                        {"result_crc", json::quote(bytes_crc(bytes))},
                         {"attempts", std::to_string(e.attempts)},
                         {"resumes", std::to_string(e.resumes)},
                         {"preempts", std::to_string(e.preempts)}},
@@ -274,9 +260,9 @@ bool JobStore::record_done(Exec& e, const std::string& bytes,
 bool JobStore::record_fail(Exec& e, const std::string& reason,
                            std::string& err) {
   if (!journal_.append("fail",
-                       {{"key", jstr(e.key)},
+                       {{"key", json::quote(e.key)},
                         {"attempt", std::to_string(e.attempts)},
-                        {"reason", jstr(reason)}},
+                        {"reason", json::quote(reason)}},
                        err))
     return false;
   e.state = Exec::State::kQueued;
@@ -287,7 +273,7 @@ bool JobStore::record_fail(Exec& e, const std::string& reason,
 
 bool JobStore::record_preempt(Exec& e, std::string& err) {
   if (!journal_.append("preempt",
-                       {{"key", jstr(e.key)},
+                       {{"key", json::quote(e.key)},
                         {"attempt", std::to_string(e.attempts)}},
                        err))
     return false;
@@ -301,7 +287,8 @@ bool JobStore::record_preempt(Exec& e, std::string& err) {
 bool JobStore::record_give_up(Exec& e, const std::string& reason,
                               std::string& err) {
   if (!journal_.append(
-          "give-up", {{"key", jstr(e.key)}, {"reason", jstr(reason)}}, err))
+          "give-up",
+          {{"key", json::quote(e.key)}, {"reason", json::quote(reason)}}, err))
     return false;
   e.state = Exec::State::kFailed;
   e.fail_reason = reason;

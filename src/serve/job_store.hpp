@@ -66,10 +66,10 @@ struct Exec {
   std::string result_bytes;
   std::string fail_reason;
 
-  // Daemon-runtime only (never journaled): preemption handshake state.
+  // Daemon-runtime only (never journaled): the preemption kill was sent,
+  // so the dying worker is not picked as a victim again before it is
+  // reaped.
   bool preempt_pending = false;
-  std::int64_t preempt_deadline = 0;
-  std::string preempt_ck_seen;  ///< newest checkpoint when SIGUSR1 was sent
 
   std::string dir;            ///< <out>/jobs/<key>
   std::string ck_dir;         ///< <out>/jobs/<key>/ck

@@ -18,10 +18,9 @@ std::string format_progress_line(const ProgressRecord& rec) {
                 static_cast<unsigned long long>(rec.live_threads),
                 static_cast<unsigned long long>(rec.checkpoints),
                 rec.done ? 1 : 0);
-  char crc[16];
-  std::snprintf(crc, sizeof crc, "%08x",
-                ser::crc32(body, std::char_traits<char>::length(body)));
-  return std::string(body) + kCrcMarker + crc + "\"}\n";
+  return std::string(body) + kCrcMarker +
+         ser::crc_hex(ser::crc32(body, std::char_traits<char>::length(body))) +
+         "\"}\n";
 }
 
 std::size_t parse_progress(std::string_view buf,
@@ -39,10 +38,8 @@ std::size_t parse_progress(std::string_view buf,
     const std::string_view body = line.substr(0, marker);
     const std::string_view tail =
         line.substr(marker + sizeof kCrcMarker - 1);
-    char want[16];
-    std::snprintf(want, sizeof want, "%08x",
-                  ser::crc32(body.data(), body.size()));
-    if (tail != std::string(want) + "\"}") break;  // torn: CRC not intact
+    if (tail != ser::crc_hex(ser::crc32(body.data(), body.size())) + "\"}")
+      break;  // torn: CRC not intact
 
     ProgressRecord rec;
     unsigned long long cycle = 0, live = 0, ckpts = 0;

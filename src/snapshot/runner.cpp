@@ -1,6 +1,5 @@
 #include "snapshot/runner.hpp"
 
-#include <csignal>
 #include <cstdio>
 #include <memory>
 
@@ -36,40 +35,6 @@ std::string checkpoint_path(const std::string& dir, const std::string& app,
                 static_cast<unsigned long long>(cycle));
   return dir + "/" + name;
 }
-
-/// Pause granularity for checkpoint-on-signal: how many simulated
-/// cycles may elapse between a SIGUSR1 arriving and the checkpoint
-/// being written. Small enough that a preemptor waits milliseconds,
-/// large enough that the pause itself costs nothing measurable.
-constexpr Cycle kSignalPollCycles = 2048;
-
-volatile std::sig_atomic_t g_checkpoint_requested = 0;
-void on_checkpoint_signal(int) { g_checkpoint_requested = 1; }
-
-/// Installs the SIGUSR1 checkpoint-on-demand handler for the duration
-/// of one run() and restores the previous disposition on every exit
-/// path (run() has many).
-class SignalCheckpointGuard {
- public:
-  explicit SignalCheckpointGuard(bool arm) : armed_(arm) {
-    if (!armed_) return;
-    g_checkpoint_requested = 0;
-    struct sigaction sa = {};
-    sa.sa_handler = on_checkpoint_signal;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
-    ::sigaction(SIGUSR1, &sa, &old_);
-  }
-  ~SignalCheckpointGuard() {
-    if (armed_) ::sigaction(SIGUSR1, &old_, nullptr);
-  }
-  SignalCheckpointGuard(const SignalCheckpointGuard&) = delete;
-  SignalCheckpointGuard& operator=(const SignalCheckpointGuard&) = delete;
-
- private:
-  bool armed_;
-  struct sigaction old_ = {};
-};
 
 std::uint64_t live_thread_count(Machine& machine) {
   std::uint64_t total = 0;
@@ -171,12 +136,6 @@ RunResult run(const RunOptions& opts) {
   }
   if (opts.progress_every > 0 && opts.progress_path.empty())
     return fail(2, "--progress-every needs --progress-file");
-  if (opts.checkpoint_signal && opts.checkpoint_dir.empty())
-    return fail(2, "--checkpoint-on-signal needs --checkpoint-dir");
-  // Arm the handler before the (potentially long) machine build: a
-  // preemptor's SIGUSR1 landing in the setup window must latch a
-  // request for the first poll boundary, not kill the process.
-  SignalCheckpointGuard signal_guard(opts.checkpoint_signal);
   if (!opts.progress_path.empty()) {
     // Truncate atomically: every attempt rewrites the heartbeat from its
     // own start, and a reader never sees a half-replaced file.
@@ -224,7 +183,6 @@ RunResult run(const RunOptions& opts) {
   Cycle next_checkpoint = checkpointing ? opts.checkpoint_every : 0;
   Cycle next_digest = (recording || replaying) ? digest_interval : 0;
   Cycle next_progress = opts.progress_every > 0 ? opts.progress_every : 0;
-  Cycle next_signal_poll = opts.checkpoint_signal ? kSignalPollCycles : 0;
   bool completed = false;
   while (!completed) {
     Cycle next = 0;  // 0 = run to completion
@@ -234,7 +192,6 @@ RunResult run(const RunOptions& opts) {
     if (next_checkpoint > 0) consider(next_checkpoint);
     if (next_digest > 0) consider(next_digest);
     if (next_progress > 0) consider(next_progress);
-    if (next_signal_poll > 0) consider(next_signal_poll);
     if (resume_pending) consider(resume_cycle);
 
     completed = !machine.run_to(next);
@@ -260,7 +217,6 @@ RunResult run(const RunOptions& opts) {
       }
       next_digest += digest_interval;
     }
-    bool checkpointed_here = false;
     if (next_checkpoint == here) {
       const std::string path = checkpoint_path(opts.checkpoint_dir, m.app, here);
       const SnapshotFile ckpt = capture(machine, m, here);
@@ -268,23 +224,7 @@ RunResult run(const RunOptions& opts) {
       if (!err.empty()) return fail(2, err);
       r.checkpoints_written.push_back(path);
       next_checkpoint += opts.checkpoint_every;
-      checkpointed_here = true;
     }
-    if (opts.checkpoint_signal && g_checkpoint_requested != 0) {
-      // Checkpoint-on-demand (SIGUSR1): a preemptor asked for current
-      // state. Skip the write if this pause already produced one.
-      g_checkpoint_requested = 0;
-      if (!checkpointed_here) {
-        const std::string path =
-            checkpoint_path(opts.checkpoint_dir, m.app, here);
-        const SnapshotFile ckpt = capture(machine, m, here);
-        const std::string err = ckpt.write_file(path);
-        if (!err.empty()) return fail(2, err);
-        r.checkpoints_written.push_back(path);
-      }
-    }
-    if (next_signal_poll > 0)
-      while (next_signal_poll <= here) next_signal_poll += kSignalPollCycles;
     if (next_progress == here) {
       ProgressRecord rec;
       rec.cycle = here;
@@ -363,10 +303,8 @@ RunResult run(const RunOptions& opts) {
 }
 
 std::string result_json(const RunManifest& m, const RunResult& r) {
-  Serializer ser;
-  m.save(ser);
-  char hex[16];
-  std::snprintf(hex, sizeof hex, "%08x", ser.crc());
+  Serializer manifest_bytes;
+  m.save(manifest_bytes);
 
   json::Value v = json::Value::object();
   v.set("schema", json::Value::integer(1));
@@ -377,7 +315,8 @@ std::string result_json(const RunManifest& m, const RunResult& r) {
   v.set("threads", json::Value::integer(m.threads));
   v.set("iterations", json::Value::integer(m.iterations));
   v.set("seed", json::Value::integer(static_cast<std::int64_t>(m.seed)));
-  v.set("manifest_crc", json::Value::string(hex));
+  v.set("manifest_crc",
+        json::Value::string(ser::crc_hex(manifest_bytes.crc())));
   v.set("exit_code", json::Value::integer(r.exit_code));
   v.set("cycles", json::Value::integer(static_cast<std::int64_t>(r.end_cycle)));
   // null when verification did not run (--verify=false, watchdog stop).
@@ -390,8 +329,7 @@ std::string result_json(const RunManifest& m, const RunResult& r) {
   v.set("switch_pct", json::Value::real(s.switching));
   v.set("trace_events",
         json::Value::integer(static_cast<std::int64_t>(r.trace_events)));
-  std::snprintf(hex, sizeof hex, "%08x", r.trace_crc);
-  v.set("trace_crc", json::Value::string(hex));
+  v.set("trace_crc", json::Value::string(ser::crc_hex(r.trace_crc)));
   return v.dump();
 }
 

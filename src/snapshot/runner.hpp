@@ -58,12 +58,6 @@ struct RunOptions {
   Cycle progress_every = 0;
   std::string progress_path;
 
-  /// Checkpoint on demand: install a SIGUSR1 handler and write a full
-  /// checkpoint at the next pause boundary after the signal arrives
-  /// (needs checkpoint_dir). The emx_serve daemon uses this to preempt:
-  /// signal, wait for the fresh checkpoint, SIGKILL, resume later.
-  bool checkpoint_signal = false;
-
   /// When non-empty, a one-line machine-readable result summary is
   /// written here (atomically) once the run completes: the manifest's
   /// cell parameters, cycle count, verification verdict, breakdown

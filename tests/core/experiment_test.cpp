@@ -5,38 +5,6 @@
 namespace emx {
 namespace {
 
-TEST(Sweep, CoversTheCrossProductInDeterministicOrder) {
-  const auto points = run_sweep(
-      {100, 200}, {1, 2, 4},
-      [](std::uint32_t threads, std::uint64_t n) {
-        MachineReport r;
-        r.total_cycles = n * 10 + threads;
-        return r;
-      },
-      /*parallel=*/true);
-  ASSERT_EQ(points.size(), 6u);
-  EXPECT_EQ(points[0].n, 100u);
-  EXPECT_EQ(points[0].threads, 1u);
-  EXPECT_EQ(points[0].report.total_cycles, 1001u);
-  EXPECT_EQ(points[5].n, 200u);
-  EXPECT_EQ(points[5].threads, 4u);
-  EXPECT_EQ(points[5].report.total_cycles, 2004u);
-}
-
-TEST(Sweep, SerialAndParallelAgree) {
-  auto run = [](std::uint32_t threads, std::uint64_t n) {
-    MachineReport r;
-    r.total_cycles = n * threads;
-    return r;
-  };
-  const auto par = run_sweep({8, 16, 32}, {1, 3}, run, true);
-  const auto ser = run_sweep({8, 16, 32}, {1, 3}, run, false);
-  ASSERT_EQ(par.size(), ser.size());
-  for (std::size_t i = 0; i < par.size(); ++i) {
-    EXPECT_EQ(par[i].report.total_cycles, ser[i].report.total_cycles);
-  }
-}
-
 TEST(SizeLabel, PaperStyleLabels) {
   EXPECT_EQ(size_label(512 * 1024), "512K");
   EXPECT_EQ(size_label(8 * 1024 * 1024), "8M");

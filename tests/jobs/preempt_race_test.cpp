@@ -1,11 +1,9 @@
 // The preemption races the emx_serve daemon leans on, proven at the
 // ProcessPool + emx_run level: a kill_child() exit is distinguishable
 // from a crash and classified as resumable; a SIGKILL at any moment —
-// including racing a checkpoint write — leaves only intact snapshot
-// files, so the previous checkpoint always carries the resume.
+// including racing a periodic checkpoint write — leaves only intact
+// snapshot files, so the newest checkpoint always carries the resume.
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fsio.hpp"
 #include "common/test_dir.hpp"
 #include "jobs/clock.hpp"
 #include "jobs/process_pool.hpp"
@@ -34,22 +33,40 @@ class PreemptRaceTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// argv for a long-enough sort run with checkpointing armed.
-  Command worker(const std::string& extra = "") {
+  /// argv for a long-enough sort run plus `extra` flags.
+  Command worker(const std::vector<std::string>& extra) {
     Command cmd;
     cmd.argv = {EMX_RUN_BIN,
                 "--app=sort",
                 "--procs=16",
                 "--size-per-proc=16384",
                 "--threads=4",
-                "--checkpoint-every=20000",
-                "--checkpoint-on-signal=true",
-                "--checkpoint-dir=" + (dir_ / "ck").string(),
                 "--result-json=" + (dir_ / "result.json").string()};
-    if (!extra.empty()) cmd.argv.push_back(extra);
+    cmd.argv.insert(cmd.argv.end(), extra.begin(), extra.end());
     cmd.stdout_path = (dir_ / "out.txt").string();
     cmd.stderr_path = (dir_ / "err.txt").string();
     return cmd;
+  }
+
+  /// A fresh run writing a periodic checkpoint every 20000 cycles.
+  Command checkpointing_worker() {
+    return worker({"--checkpoint-every=20000",
+                   "--checkpoint-dir=" + (dir_ / "ck").string()});
+  }
+
+  /// Polls until the first periodic checkpoint lands; the worker must
+  /// still be running then.
+  std::string await_first_checkpoint(ProcessPool& pool, Clock& clock) {
+    std::string first;
+    for (int i = 0; i < 2000 && first.empty(); ++i) {
+      clock.sleep_ms(2);
+      first = latest_checkpoint((dir_ / "ck").string(), "sort");
+      std::vector<ExitStatus> exits;
+      EXPECT_EQ(pool.poll(exits), 0u) << "worker finished before a "
+                                         "checkpoint; grow the workload";
+      if (!exits.empty()) return "";
+    }
+    return first;
   }
 
   /// Polls until the tagged child exits; returns its status.
@@ -62,11 +79,10 @@ class PreemptRaceTest : public ::testing::Test {
     return exits.front();
   }
 
-  static std::string slurp(const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+  std::string slurp(const std::string& name) {
+    std::string bytes;
+    fsio::read_file((dir_ / name).string(), bytes);
+    return bytes;
   }
 
   fs::path dir_;
@@ -76,34 +92,12 @@ TEST_F(PreemptRaceTest, KillChildIsPreemptedAndResumable) {
   Clock& clock = real_clock();
   ProcessPool pool(clock);
   std::string err;
-  ASSERT_GT(pool.start(worker(), 7, 0, err), 0) << err;
+  ASSERT_GT(pool.start(checkpointing_worker(), 7, 0, err), 0) << err;
 
-  // Wait for the first periodic checkpoint: proof the worker is past
-  // setup and its SIGUSR1 handler is armed (a signal into the exec
-  // window would just kill it).
-  std::string first;
-  for (int i = 0; i < 2000 && first.empty(); ++i) {
-    clock.sleep_ms(2);
-    first = latest_checkpoint((dir_ / "ck").string(), "sort");
-    std::vector<ExitStatus> exits;
-    ASSERT_EQ(pool.poll(exits), 0u) << "worker finished before preemption; "
-                                       "grow the workload";
-  }
-  ASSERT_FALSE(first.empty());
-
-  // Request a checkpoint-on-demand and wait for a *fresh* one to land,
-  // exactly as the daemon's preemption handshake does.
-  ASSERT_TRUE(pool.signal_child(7, SIGUSR1));
-  std::string ck = first;
-  for (int i = 0; i < 2000 && ck == first; ++i) {
-    clock.sleep_ms(2);
-    ck = latest_checkpoint((dir_ / "ck").string(), "sort");
-    std::vector<ExitStatus> exits;
-    ASSERT_EQ(pool.poll(exits), 0u) << "worker finished before preemption; "
-                                       "grow the workload";
-  }
-  ASSERT_NE(ck, first) << "no fresh checkpoint landed after SIGUSR1";
-
+  // Preempt the way the daemon does: SIGKILL as soon as the worker has
+  // a periodic checkpoint to resume from.
+  const std::string ck = await_first_checkpoint(pool, clock);
+  ASSERT_FALSE(ck.empty());
   ASSERT_TRUE(pool.kill_child(7));
   const ExitStatus es = reap(pool, clock);
   EXPECT_EQ(es.tag, 7u);
@@ -115,10 +109,10 @@ TEST_F(PreemptRaceTest, KillChildIsPreemptedAndResumable) {
       << "a preemption kill must be retryable, not permanent";
 
   // The victim resumes from that checkpoint to a byte-identical result.
-  ASSERT_GT(pool.start(worker("--resume=" + ck), 8, 0, err), 0) << err;
+  ASSERT_GT(pool.start(worker({"--resume=" + ck}), 8, 0, err), 0) << err;
   const ExitStatus done = reap(pool, clock);
-  EXPECT_FALSE(done.signaled) << slurp((dir_ / "err.txt").string());
-  EXPECT_EQ(done.code, 0) << slurp((dir_ / "err.txt").string());
+  EXPECT_FALSE(done.signaled) << slurp("err.txt");
+  EXPECT_EQ(done.code, 0) << slurp("err.txt");
 
   snapshot::RunOptions clean;
   clean.manifest.app = "sort";
@@ -129,33 +123,30 @@ TEST_F(PreemptRaceTest, KillChildIsPreemptedAndResumable) {
   clean.manifest.seed = 1;
   clean.result_json_path = (dir_ / "clean.json").string();
   ASSERT_EQ(snapshot::run(clean).exit_code, 0);
-  EXPECT_EQ(slurp((dir_ / "result.json").string()),
-            slurp((dir_ / "clean.json").string()));
+  EXPECT_EQ(slurp("result.json"), slurp("clean.json"));
 }
 
 TEST_F(PreemptRaceTest, KillRacingTheCheckpointLeavesOnlyIntactSnapshots) {
-  // The daemon's worst case: SIGUSR1 then SIGKILL before the fresh
-  // checkpoint lands — the kill can race the checkpoint write itself.
-  // Atomic publication means every *.emxsnap that exists at all is
-  // whole, so resume always has an intact (if slightly older) anchor.
+  // The daemon kills whenever higher-priority work arrives, so the kill
+  // can race a periodic checkpoint write. Atomic publication means every
+  // *.emxsnap that exists at all is whole, so resume always has an
+  // intact (if slightly older) anchor.
   Clock& clock = real_clock();
   ProcessPool pool(clock);
   std::string err;
-  ASSERT_GT(pool.start(worker(), 9, 0, err), 0) << err;
+  ASSERT_GT(pool.start(checkpointing_worker(), 9, 0, err), 0) << err;
 
-  // Let the periodic chain produce at least one checkpoint first.
-  std::string first;
-  for (int i = 0; i < 2000 && first.empty(); ++i) {
-    clock.sleep_ms(2);
-    first = latest_checkpoint((dir_ / "ck").string(), "sort");
-    std::vector<ExitStatus> exits;
-    ASSERT_EQ(pool.poll(exits), 0u) << "worker finished before a "
-                                       "checkpoint; grow the workload";
-  }
-  ASSERT_FALSE(first.empty());
-
-  // Fire the handshake and kill immediately — no grace.
-  ASSERT_TRUE(pool.signal_child(9, SIGUSR1));
+  // Let the periodic chain produce one checkpoint, then kill while the
+  // next one is being written: its atomic-write temp file is on disk.
+  ASSERT_FALSE(await_first_checkpoint(pool, clock).empty());
+  const auto writing = [&] {
+    for (const auto& entry : fs::directory_iterator(dir_ / "ck"))
+      if (entry.path().filename().string().find(".emxtmp.") !=
+          std::string::npos)
+        return true;
+    return false;
+  };
+  for (int i = 0; i < 5000 && !writing(); ++i) clock.sleep_ms(1);
   ASSERT_TRUE(pool.kill_child(9));
   const ExitStatus es = reap(pool, clock);
   EXPECT_TRUE(es.preempted);
@@ -181,10 +172,10 @@ TEST_F(PreemptRaceTest, KillRacingTheCheckpointLeavesOnlyIntactSnapshots) {
   // And the newest intact one resumes to completion.
   const std::string ck = latest_checkpoint((dir_ / "ck").string(), "sort");
   ASSERT_FALSE(ck.empty());
-  ASSERT_GT(pool.start(worker("--resume=" + ck), 10, 0, err), 0) << err;
+  ASSERT_GT(pool.start(worker({"--resume=" + ck}), 10, 0, err), 0) << err;
   const ExitStatus done = reap(pool, clock);
-  EXPECT_FALSE(done.signaled) << slurp((dir_ / "err.txt").string());
-  EXPECT_EQ(done.code, 0) << slurp((dir_ / "err.txt").string());
+  EXPECT_FALSE(done.signaled) << slurp("err.txt");
+  EXPECT_EQ(done.code, 0) << slurp("err.txt");
 }
 
 }  // namespace

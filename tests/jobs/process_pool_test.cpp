@@ -68,7 +68,9 @@ TEST(ProcessPool, KillsAtTheDeadlineAndFlagsTimeout) {
   ProcessPool pool(real_clock());
   std::string err;
   // Would sleep 30 s; the 100 ms deadline must SIGKILL it long before.
-  ASSERT_GE(pool.start(sh("sleep 30"), 7, 100, err), 0) << err;
+  // `exec` makes the sleeper the child itself: a forked `sleep` would
+  // survive the shell's SIGKILL and hold the test's stdout open.
+  ASSERT_GE(pool.start(sh("exec sleep 30"), 7, 100, err), 0) << err;
   const std::vector<ExitStatus> exits = drain(pool, 1);
   ASSERT_EQ(exits.size(), 1u);
   EXPECT_TRUE(exits[0].timed_out);
@@ -114,7 +116,7 @@ TEST(ProcessPool, KillAllReapsEverything) {
   ProcessPool pool(real_clock());
   std::string err;
   for (std::uint64_t i = 0; i < 3; ++i)
-    ASSERT_GE(pool.start(sh("sleep 30"), i, 0, err), 0) << err;
+    ASSERT_GE(pool.start(sh("exec sleep 30"), i, 0, err), 0) << err;
   EXPECT_EQ(pool.running(), 3u);
   pool.kill_all();
   EXPECT_EQ(pool.running(), 0u);

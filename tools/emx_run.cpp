@@ -318,11 +318,7 @@ int main(int argc, char** argv) {
               "--progress-file. Pure observer: cycles are byte-identical")
       .define("progress-file", "",
               "side file for --progress-every records (what emx_serve's "
-              "watch streams); truncated at run start")
-      .define("checkpoint-on-signal", "false",
-              "write a checkpoint at the next pause after SIGUSR1 (needs "
-              "--checkpoint-dir); how emx_serve preempts without losing "
-              "completed cycles");
+              "watch streams); truncated at run start");
   flags.parse(argc, argv);
 
   if (flags.boolean("list-apps")) {
@@ -381,12 +377,6 @@ int main(int argc, char** argv) {
   }
   if (flags.integer("progress-every") > 0 && flags.str("progress-file").empty()) {
     std::fprintf(stderr, "emx_run: --progress-every needs --progress-file\n");
-    return 2;
-  }
-  if (flags.boolean("checkpoint-on-signal") &&
-      flags.str("checkpoint-dir").empty()) {
-    std::fprintf(stderr,
-                 "emx_run: --checkpoint-on-signal needs --checkpoint-dir\n");
     return 2;
   }
 
@@ -454,7 +444,6 @@ int main(int argc, char** argv) {
   opts.result_json_path = flags.str("result-json");
   opts.progress_every = static_cast<Cycle>(flags.integer("progress-every"));
   opts.progress_path = flags.str("progress-file");
-  opts.checkpoint_signal = flags.boolean("checkpoint-on-signal");
 
   const bool csv = flags.str("report") == "csv";
   const snapshot::RunResult result = snapshot::run(opts);

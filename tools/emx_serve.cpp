@@ -6,9 +6,9 @@
 // Accepts newline-delimited JSON requests (submit/status/list/cancel/
 // watch/drain — docs/SERVE.md) and schedules them onto a bounded pool
 // of emx_run workers with per-tenant fair share. Higher-priority
-// submissions preempt running lower-priority work by requesting a
-// checkpoint (SIGUSR1), then SIGKILLing the worker once the checkpoint
-// lands; victims resume from it with no retry budget spent. Identical
+// submissions preempt running lower-priority work by SIGKILLing its
+// worker; victims resume from their newest periodic checkpoint (or from
+// scratch) with no retry budget spent. Identical
 // run recipes deduplicate against in-flight work and the result cache.
 // Every transition is journaled, so a SIGKILLed daemon restarted over
 // the same --out directory converges — queued work stays queued, done
@@ -43,12 +43,9 @@ int main(int argc, char** argv) {
               "per-attempt wall-clock timeout in seconds; 0 = none")
       .define("backoff-ms", "250",
               "first retry delay; doubles per attempt up to 8000 ms")
-      .define("preempt-grace-ms", "1000",
-              "how long a preempted worker gets to write its checkpoint "
-              "before the SIGKILL")
       .define("checkpoint-every", "100000",
-              "worker checkpoint period in cycles; 0 leaves only "
-              "on-demand (preemption) checkpoints")
+              "worker checkpoint period in cycles; 0 = none; a preempted "
+              "or crashed worker restarts from scratch")
       .define("progress-every", "50000",
               "worker progress-record period in cycles (feeds `watch`); "
               "0 disarms")
@@ -76,7 +73,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(flags.integer("max-per-tenant"));
   opts.timeout_ms = flags.integer("timeout-s") * 1000;
   opts.backoff_ms = flags.integer("backoff-ms");
-  opts.preempt_grace_ms = flags.integer("preempt-grace-ms");
   opts.checkpoint_every =
       static_cast<std::uint64_t>(flags.integer("checkpoint-every"));
   opts.progress_every =
@@ -87,7 +83,6 @@ int main(int argc, char** argv) {
   if (flags.integer("jobs") <= 0 || flags.integer("retries") < 0 ||
       flags.integer("max-per-tenant") < 0 || flags.integer("timeout-s") < 0 ||
       flags.integer("backoff-ms") < 0 ||
-      flags.integer("preempt-grace-ms") < 0 ||
       flags.integer("checkpoint-every") < 0 ||
       flags.integer("progress-every") < 0 ||
       flags.integer("cache-max-bytes") < 0) {
