@@ -79,35 +79,33 @@ if [[ -n "$violations" ]]; then
   exit 1
 fi
 
-# And the core layers must not know the verifier exists; the snapshot
-# runner is the one sanctioned consumer (the --verify-static gate), plus
-# the tools that surface reports directly.
+# And nothing else in src/ may know the verifier exists: it serves the
+# standalone emx_verify tool (and tests), never the run path.
 v_up_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*"verify/'
-violations=$(grep -rnE "$v_up_pattern" src \
-  | grep -v '^src/verify/' \
-  | grep -v '^src/snapshot/runner\.' || true)
+violations=$(grep -rnE "$v_up_pattern" src | grep -v '^src/verify/' || true)
 if [[ -n "$violations" ]]; then
-  echo "layering violation: inside src/ only the snapshot runner may"
-  echo "include verify/ headers — core layers must not depend on the"
-  echo "static verifier:"
+  echo "layering violation: nothing in src/ outside src/verify may include"
+  echo "verify/ headers — static verification is a tool, not a run-path"
+  echo "dependency:"
   echo
   echo "$violations"
   exit 1
 fi
-echo "layering OK: verify/ sees only isa/ + common/, and only the snapshot runner sees verify/"
+echo "layering OK: verify/ sees only isa/ + common/, and nothing else in src/ sees verify/"
 
 # The job engine orchestrates emx_run *processes*; inside src/ it may
 # read recipes (snapshot/ manifests), registry defaults (workloads/) and
 # common/ utilities — never the machine layers, which would tempt it to
 # run cells in-process and lose the crash-isolation the fork/exec
-# boundary provides. And nothing in src/ may include jobs/: the engine
-# is a tools-facing layer, consumed only by emx_sweep.
+# boundary provides. It holds the one job state machine (jobs/core) that
+# both emx_sweep and emx_serve drive; inside src/ only serve/ builds on
+# it.
 j_down_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*"(sim|network|proc|runtime|core|apps|model|isa|trace|fault|analysis|verify)/'
 violations=$(grep -rnE "$j_down_pattern" src/jobs || true)
 if [[ -n "$violations" ]]; then
   echo "layering violation: src/jobs may include only common/, snapshot/,"
   echo "workloads/ and its own headers — cells run in worker processes,"
-  echo "never in the supervisor:"
+  echo "never in the sweep or the daemon:"
   echo
   echo "$violations"
   exit 1
@@ -119,19 +117,36 @@ violations=$(grep -rnE "$j_up_pattern" src \
 if [[ -n "$violations" ]]; then
   echo "layering violation: nothing in src/ outside src/jobs and"
   echo "src/serve may include jobs/ headers — the job engine is consumed"
-  echo "by the serve daemon and the tools only:"
+  echo "by the serve front end and the tools only:"
   echo
   echo "$violations"
   exit 1
 fi
 echo "layering OK: jobs/ sees only common/ + snapshot/ + workloads/, and only serve/ sees jobs/"
 
-# The serve daemon sits on top of the job engine: it may use jobs/
-# (pool, journal, cache, specs), snapshot/ (manifests, progress),
-# workloads/ (via specs) and common/ — never the machine layers, for
-# the same crash-isolation reason as jobs/. And nothing in src/ may
-# include serve/: the daemon layer is consumed only by emx_serve and
-# emx_client.
+# One job state machine: the worker pool is driven by jobs/core alone.
+# Any other src/ file that includes the pool would be growing a second
+# start/reap/retry loop beside it — submit to the core instead. (Tests
+# are outside src/ and may drive the pool directly.)
+pp_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*"jobs/process_pool\.hpp"'
+violations=$(grep -rnE "$pp_pattern" src \
+  | grep -vE '^src/jobs/(core|process_pool)\.(hpp|cpp):' || true)
+if [[ -n "$violations" ]]; then
+  echo "layering violation: inside src/ only jobs/core may include"
+  echo "jobs/process_pool.hpp — it is the one state machine that starts"
+  echo "and reaps workers:"
+  echo
+  echo "$violations"
+  exit 1
+fi
+echo "layering OK: only jobs/core drives the worker pool"
+
+# The serve layer is the daemon's socket front end over the job core:
+# the protocol, connections, request handling and `watch`. It may use
+# jobs/ (the core, specs), snapshot/ (progress records), workloads/ (via
+# specs) and common/ — never the machine layers, for the same
+# crash-isolation reason as jobs/. And nothing in src/ may include
+# serve/: it is consumed only by emx_serve and emx_client.
 s_down_pattern='^[[:space:]]*#[[:space:]]*include[[:space:]]*"(sim|network|proc|runtime|core|apps|model|isa|trace|fault|analysis|verify)/'
 violations=$(grep -rnE "$s_down_pattern" src/serve || true)
 if [[ -n "$violations" ]]; then

@@ -4,12 +4,11 @@
 # program with the finding it was written to demonstrate (exit code 6 +
 # the kind token in the output).
 #
-#   usage: scripts/ci_verify.sh ./build/tools/emx_verify [./build/tools/emx_run]
+#   usage: scripts/ci_verify.sh ./build/tools/emx_verify
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-verify="${1:?usage: ci_verify.sh <emx_verify> [<emx_run>]}"
-emx_run="${2:-}"
+verify="${1:?usage: ci_verify.sh <emx_verify>}"
 
 fail=0
 
@@ -46,20 +45,6 @@ expect_finding frame_leak.emx       frame-leak
 expect_finding barrier_mismatch.emx barrier-path-mismatch
 expect_finding unreachable.emx      unreachable-code
 expect_finding spin_loop.emx        spin-without-suspend
-
-# --- gate plumbing through emx_run (optional second argument) ------------
-if [[ -n "$emx_run" ]]; then
-  "$emx_run" --app=sort --procs=4 --size-per-proc=64 --threads=2 \
-    --verify-static=error >/dev/null || {
-    echo "FAIL: --verify-static=error broke a clean run"
-    fail=1
-  }
-  "$emx_run" --app=sort --verify-static=bogus >/dev/null 2>&1
-  if [[ $? -ne 2 ]]; then
-    echo "FAIL: --verify-static=bogus should be rejected with exit 2"
-    fail=1
-  fi
-fi
 
 if [[ "$fail" -ne 0 ]]; then
   echo "static verification gate FAILED"

@@ -1,4 +1,4 @@
-// Crash-safe file-system primitives for the supervisor-side layers.
+// Crash-safe file-system primitives for the job-engine layers.
 //
 // Everything that persists run artifacts (snapshots, sweep results,
 // journals) funnels through these helpers so the durability story is
@@ -44,8 +44,9 @@ std::string probe_writable_file(const std::string& path);
 
 /// Appends `line` (which must include its trailing newline) to the file
 /// descriptor-backed append-only file at `path`, fsync'ing the write.
-/// Used by the sweep journal; open/creat is implicit per call so a
-/// supervisor restart needs no handle state. Returns "" on success.
+/// Used by the job journal; open/creat is implicit per call so a
+/// restarted sweep or daemon needs no handle state. Returns "" on
+/// success.
 std::string append_line_fsync(const std::string& path,
                               const std::string& line);
 

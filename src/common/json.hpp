@@ -1,6 +1,6 @@
 // Minimal JSON value, parser and writer.
 //
-// The sweep supervisor speaks JSON at every boundary — sweep specs in,
+// The job engine speaks JSON at every boundary — sweep specs in,
 // per-cell result files through the cache, the figure-ready aggregate
 // out, and one JSON object per journal line — so the repo needs a JSON
 // implementation with two properties the usual suspects don't promise:

@@ -193,7 +193,12 @@ Machine::Machine(MachineConfig config, trace::TraceSink* sink)
        pes_.empty() ? nullptr : pes_.back().get()});
 }
 
-Machine::~Machine() = default;
+Machine::~Machine() {
+  // PEs go first: their frame pools destroy the coroutine frames of
+  // threads a run left suspended, and those frames may still point into
+  // the network, channels, barrier nodes and checker torn down below.
+  pes_.clear();
+}
 
 namespace {
 

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "jobs/supervisor.hpp"
+#include "jobs/sweep.hpp"
 
 namespace emx::jobs {
 

@@ -1,8 +1,8 @@
-// Host wall-clock abstraction for the sweep supervisor.
+// Host wall-clock abstraction for the job core.
 //
 // The simulator proper never reads wall time (scripts/check_determinism.sh
 // enforces it): simulated cycles are the only clock a deterministic run
-// may consult. The supervisor is different — it schedules *processes*,
+// may consult. The job core is different — it schedules *processes*,
 // so per-job timeouts and retry backoff are genuinely wall-clock
 // concerns. Keeping the clock behind this interface does two things:
 // the one sanctioned wall-clock read in src/ lives in a single

@@ -1,7 +1,5 @@
 #include "jobs/journal.hpp"
 
-#include <cstdio>
-
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -157,10 +155,9 @@ bool Journal::open(const std::string& path, std::string& err) {
   std::vector<JournalEntry> entries;
   std::size_t good_prefix = 0;
   std::string warning;
+  // load() already reported a torn tail to the caller; open() cuts it.
   if (!parse_content(path, content, entries, good_prefix, warning, err))
     return false;
-  if (!warning.empty())
-    std::fprintf(stderr, "emx_sweep: warning: %s\n", warning.c_str());
 
   if (exists && good_prefix != content.size()) {
     // Cut the torn tail so the next append starts on a line boundary.

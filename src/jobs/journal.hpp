@@ -1,22 +1,22 @@
-// Append-only, CRC-framed supervisor journal.
+// Append-only, CRC-framed job journal.
 //
-// The journal is the supervisor's only durable memory: one JSON line per
+// The journal is the job core's only durable memory: one JSON line per
 // job-state transition, fsync'd before the transition is acted on, so a
-// SIGKILL'd supervisor re-invoked over the same output directory replays
+// SIGKILL'd sweep or daemon re-invoked over the same output directory replays
 // the journal and resumes exactly where the filesystem says it was —
 // never where in-memory state claimed.
 //
 // Line format (formatted by hand, not via json::Value, so the CRC frame
 // is under our control):
 //
-//   {"seq":N,"event":"...","job":"...",...,"crc":"xxxxxxxx"}\n
+//   {"seq":N,"event":"...","key":"...",...,"crc":"xxxxxxxx"}\n
 //
 // The crc field is CRC-32 of every byte of the line before the
 // `,"crc":"` marker. That framing distinguishes the two corruption
 // cases a crash-tolerant log must treat differently:
 //
 //   * a torn final line (the write the crash interrupted) — dropped
-//     with a warning; the supervisor redoes that transition;
+//     with a warning; the core redoes that transition;
 //   * a damaged or tampered interior line — a hard error naming the
 //     cell, because silently skipping it could resurrect a completed
 //     job or double-count a retry.

@@ -68,12 +68,12 @@ pid_t ProcessPool::start(const Command& cmd, std::uint64_t tag,
     if (err_fd >= 0) ::dup2(err_fd, STDERR_FILENO);
     ::execv(argv[0], argv.data());
     // exec failed: report on (possibly redirected) stderr and bail with
-    // an exit code the supervisor classifies as permanent.
+    // an exit code the job core classifies as permanent.
     const auto say = [](const char* s) {
       const ssize_t n = ::write(STDERR_FILENO, s, std::strlen(s));
       (void)n;
     };
-    say("emx_sweep worker: exec failed: ");
+    say("emx worker: exec failed: ");
     say(std::strerror(errno));
     say("\n");
     ::_exit(127);
@@ -116,7 +116,7 @@ std::size_t ProcessPool::poll(std::vector<ExitStatus>& out) {
     es.preempted = c.killed_for_preempt;
     if (r < 0) {
       // ECHILD etc. — lost track of it; surface as a kill so the
-      // supervisor retries rather than hanging forever.
+      // job core retries rather than hanging forever.
       es.signaled = true;
       es.sig = SIGKILL;
     } else if (WIFSIGNALED(status)) {

@@ -1,9 +1,9 @@
-// Bounded fork/exec worker pool for the sweep supervisor.
+// Bounded fork/exec worker pool for the job core (jobs/core.hpp).
 //
 // The pool owns the POSIX mechanics — fork, exec, stdout/stderr
 // redirection, non-blocking reaps, deadline kills — and nothing else.
 // Policy (which job to start, whether to retry, what an exit code
-// means) lives in the supervisor; the pool only answers "what is
+// means) lives in the core; the pool only answers "what is
 // running" and "who just exited, and how".
 //
 // Hang handling is a hard SIGKILL at the caller-supplied deadline:
@@ -22,7 +22,7 @@
 namespace emx::jobs {
 
 /// One command to run: argv plus capture files for its output. An empty
-/// capture path inherits the supervisor's own stream.
+/// capture path inherits the caller's own stream.
 struct Command {
   std::vector<std::string> argv;
   std::string stdout_path;
@@ -61,7 +61,7 @@ class ProcessPool {
   /// `out`; returns the number appended.
   std::size_t poll(std::vector<ExitStatus>& out);
 
-  /// SIGKILLs and reaps every child. Used on supervisor shutdown paths.
+  /// SIGKILLs and reaps every child. Used on shutdown paths.
   void kill_all();
 
   /// SIGKILLs the child tagged `tag` on the caller's behalf (the

@@ -12,9 +12,9 @@
 //   * eviction runs after each publish: while the cache exceeds
 //     `max_bytes`, the least-recently-used *unpinned* entry is removed.
 //     Pinned entries are never evicted, even when the pin set alone
-//     exceeds the cap — a supervisor or daemon pins every key it still
-//     references, so eviction can never drop a result an in-flight
-//     sweep or job is counting on (the property the tier-1 tests pin).
+//     exceeds the cap — the job core pins the key of every live exec,
+//     so eviction can never drop a result an in-flight job is
+//     counting on (the property the tier-1 tests pin).
 //
 // Recency is deliberately scheduling-dependent state: it decides only
 // which keys must be *recomputed*, never what a result contains.

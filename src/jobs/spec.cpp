@@ -200,11 +200,75 @@ bool apply_base_knob(const std::string& key, const json::Value& v,
   return true;
 }
 
+bool run_uint(const json::Value& v, std::uint64_t& onto, std::string& err,
+               const char* what) {
+  if (!v.is_int() || v.as_int() < 0) {
+    err = std::string(what) + " must be a non-negative integer";
+    return false;
+  }
+  onto = static_cast<std::uint64_t>(v.as_int());
+  return true;
+}
+
 }  // namespace
 
-bool apply_manifest_knob(const std::string& key, const json::Value& v,
-                         snapshot::RunManifest& m, std::string& err) {
-  return apply_base_knob(key, v, m, err);
+bool parse_run(const json::Value& run, JobSpec& out, std::string& err) {
+  if (!run.is_object()) {
+    err = "run must be an object";
+    return false;
+  }
+  // Build a one-cell sweep so expansion, registry defaults, validation
+  // and the manifest-CRC key all come from the one proven code path.
+  SweepSpec spec;
+  spec.name = "serve";
+  spec.procs.clear();
+  spec.seeds.clear();
+  // emx_run flag parity (the same defaults emx_sweep's flag path sets),
+  // so a served run keys identically to the direct invocation.
+  spec.base.iterations = 8;
+  spec.base.seed = 1;
+  for (const auto& [key, v] : run.members()) {
+    std::uint64_t u = 0;
+    if (key == "app") {
+      if (!v.is_string() || v.as_string().empty()) {
+        err = "run.app must be a non-empty string";
+        return false;
+      }
+      spec.apps = {v.as_string()};
+    } else if (key == "procs") {
+      if (!run_uint(v, u, err, "run.procs")) return false;
+      spec.procs = {static_cast<std::uint32_t>(u)};
+    } else if (key == "threads") {
+      if (!run_uint(v, u, err, "run.threads")) return false;
+      spec.threads = {static_cast<std::uint32_t>(u)};
+    } else if (key == "size_per_proc") {
+      if (!run_uint(v, u, err, "run.size_per_proc")) return false;
+      spec.sizes_per_proc = {u};
+    } else if (key == "seed") {
+      if (!run_uint(v, u, err, "run.seed")) return false;
+      spec.seeds = {u};
+    } else {
+      if (!apply_base_knob(key, v, spec.base, err)) {
+        // The knob applier speaks sweep-spec ("base.x", "base knob");
+        // re-anchor the message to this protocol's field name.
+        if (err.rfind("base.", 0) == 0) err = "run." + err.substr(5);
+        if (err.rfind("unknown base knob", 0) == 0)
+          err = "unknown run knob" + err.substr(17);
+        return false;
+      }
+    }
+  }
+  if (spec.apps.empty()) {
+    err = "run.app is required";
+    return false;
+  }
+  if (spec.procs.empty()) spec.procs = {16};
+  if (spec.seeds.empty()) spec.seeds = {1};
+
+  std::vector<JobSpec> cells;
+  if (!spec.expand(cells, err)) return false;
+  out = std::move(cells.front());
+  return true;
 }
 
 std::string job_key(const snapshot::RunManifest& m) {

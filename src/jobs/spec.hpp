@@ -1,7 +1,7 @@
 // Sweep specification: an (app × h × n × P × seed) grid expanded into
 // manifest-keyed jobs.
 //
-// A SweepSpec is the declarative half of the supervisor — the grid the
+// A SweepSpec is the declarative half of a sweep — the grid the
 // paper's Figures 6–9 sweep over, written as JSON (or assembled from
 // emx_sweep's list flags). expand() turns it into concrete JobSpecs,
 // each carrying a full snapshot::RunManifest (the same recipe a
@@ -54,7 +54,7 @@ struct SweepSpec {
 
   /// Canonical JSON rendering of the spec (grid axes and the non-default
   /// base knobs). digest() is its CRC: the journal header records it so
-  /// a re-invoked supervisor refuses to mix two different sweeps in one
+  /// a re-invoked sweep refuses to mix two different sweeps in one
   /// output directory.
   std::string canonical_json() const;
   std::uint32_t digest() const;
@@ -68,16 +68,17 @@ struct SweepSpec {
 /// The stable cell key for a manifest (see JobSpec::key).
 std::string job_key(const snapshot::RunManifest& m);
 
-/// Applies one named knob (the same vocabulary SweepSpec's "base"
-/// object accepts — network, barrier, read service, watchdog, fault
-/// plan, ...) to `m`. Exposed for the emx_serve protocol, whose "run"
-/// objects reuse the spec's knob names verbatim. Returns false with
-/// `err` on an unknown knob or an ill-typed value.
-bool apply_manifest_knob(const std::string& key, const json::Value& v,
-                         snapshot::RunManifest& m, std::string& err);
+/// Expands one "run" object — the cell coordinates (`app`, `procs`,
+/// `threads`, `size_per_proc`, `seed`) plus any knob of the spec's
+/// "base" vocabulary — into a fully keyed JobSpec, with the emx_run
+/// flag-parity defaults (iterations 8, seed 1) applied. The daemon
+/// parses submits with it, the sweep checks that each cell's run object
+/// reproduces the cell's key, and journal replay re-derives the key it
+/// journaled. Returns false with `err` phrased in "run." terms.
+bool parse_run(const json::Value& run, JobSpec& out, std::string& err);
 
 /// emx_run argv tail reproducing `m` from a fresh default manifest —
-/// the flags the supervisor passes to a worker. Only fields expressible
+/// the flags the job core passes to a worker. Only fields expressible
 /// as emx_run flags are emitted; expand() rejects specs that stray
 /// outside that set.
 std::vector<std::string> worker_flags(const snapshot::RunManifest& m);

@@ -24,6 +24,11 @@ const char* to_string(ThreadState state) {
   return "?";
 }
 
+FramePool::~FramePool() {
+  for (ThreadRecord& rec : records_)
+    if (rec.coro) rec.coro.destroy();
+}
+
 ThreadRecord& FramePool::alloc(ThreadId parent) {
   ThreadRecord* rec;
   if (free_head_ != kInvalidThread) {

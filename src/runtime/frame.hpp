@@ -50,6 +50,14 @@ struct ThreadRecord {
 /// activation and suspension") is limited only by memory, as on the EM-X.
 class FramePool {
  public:
+  FramePool() = default;
+  /// Destroys the coroutine frame of every record still live: threads a
+  /// run left suspended (deadlock, watchdog stop, early exit) own frames
+  /// nothing else will reclaim.
+  ~FramePool();
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+
   ThreadRecord& alloc(ThreadId parent);
   void free(ThreadRecord& record);
 

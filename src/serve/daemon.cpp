@@ -5,8 +5,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <map>
 #include <vector>
 
 #include <sys/socket.h>
@@ -14,18 +12,15 @@
 #include <unistd.h>
 
 #include "common/fsio.hpp"
-#include "jobs/process_pool.hpp"
-#include "jobs/supervisor.hpp"
-#include "serve/job_store.hpp"
 #include "serve/protocol.hpp"
-#include "serve/scheduler.hpp"
 #include "snapshot/progress.hpp"
 
 namespace emx::serve {
 
-namespace fs = std::filesystem;
-
 namespace {
+
+using jobs::Exec;
+using jobs::JobRecord;
 
 volatile std::sig_atomic_t g_stop = 0;
 void on_stop(int) { g_stop = 1; }
@@ -43,18 +38,14 @@ struct Conn {
 
 struct Daemon {
   const DaemonOptions& opts;
-  jobs::Clock& clock;
-  JobStore store;
-  jobs::ProcessPool pool;
+  jobs::Core core;
+  jobs::JobStore& store;
   std::vector<Conn> conns;
-  std::map<std::uint64_t, std::string> tag_key;  ///< pool tag → exec key
-  std::map<std::string, std::uint64_t> key_tag;
-  std::uint64_t next_tag = 1;
   int listen_fd = -1;
   bool draining = false;
 
-  Daemon(const DaemonOptions& o, jobs::Clock& c)
-      : opts(o), clock(c), pool(c) {}
+  explicit Daemon(const DaemonOptions& o)
+      : opts(o), core(o), store(core.store()) {}
 
   void note(const std::string& line) {
     if (!opts.quiet) std::fprintf(stderr, "%s", line.c_str());
@@ -134,209 +125,6 @@ json::Value job_json(Daemon& d, const JobRecord& job, bool with_result) {
     if (perr.empty()) v.set("result", std::move(result));
   }
   return v;
-}
-
-/// Starts the next attempt of `e`. Journals first, forks second.
-/// Returns false only on a journal write failure (daemon-fatal).
-bool start_exec(Daemon& d, Exec& e, std::string& err) {
-  const bool resuming = !e.resume_path.empty();
-  if (!d.store.record_start(e, resuming, err)) return false;
-
-  jobs::Command cmd;
-  cmd.argv.push_back(d.opts.emx_run);
-  if (resuming) {
-    cmd.argv.push_back("--resume=" + e.resume_path);
-  } else {
-    const std::vector<std::string> flags = jobs::worker_flags(e.job.manifest);
-    cmd.argv.insert(cmd.argv.end(), flags.begin(), flags.end());
-  }
-  if (d.opts.checkpoint_every > 0)
-    cmd.argv.push_back("--checkpoint-every=" +
-                       std::to_string(d.opts.checkpoint_every));
-  // The checkpoint dir rides along even when periodic checkpoints are
-  // off: crash dumps land there.
-  cmd.argv.push_back("--checkpoint-dir=" + e.ck_dir);
-  if (d.opts.progress_every > 0) {
-    cmd.argv.push_back("--progress-every=" +
-                       std::to_string(d.opts.progress_every));
-    cmd.argv.push_back("--progress-file=" + e.progress_path);
-  }
-  cmd.argv.push_back("--result-json=" + e.result_path);
-  const std::string base = e.dir + "/attempt-" + std::to_string(e.attempts);
-  cmd.stdout_path = base + ".stdout";
-  cmd.stderr_path = base + ".stderr";
-
-  const std::uint64_t tag = d.next_tag++;
-  std::string spawn_err;
-  const pid_t pid = d.pool.start(cmd, tag, d.opts.timeout_ms, spawn_err);
-  if (pid < 0) {
-    if (!d.store.record_fail(e, "spawn: " + spawn_err, err)) return false;
-    e.ready_at = d.clock.now_ms() +
-                 jobs::backoff_delay_ms(e.attempts - e.preempts,
-                                        d.opts.backoff_ms,
-                                        d.opts.backoff_max_ms);
-    return true;
-  }
-  d.tag_key[tag] = e.key;
-  d.key_tag[e.key] = tag;
-  d.note("emx_serve: " + e.key + ": started (attempt " +
-         std::to_string(e.attempts) + (resuming ? ", resume" : "") + ")\n");
-  return true;
-}
-
-std::vector<ExecView> queued_views(Daemon& d, std::int64_t now) {
-  std::vector<ExecView> views;
-  for (auto& [key, e] : d.store.execs()) {
-    if (e.state != Exec::State::kQueued || e.ready_at > now) continue;
-    ExecView v;
-    v.key = key;
-    v.tenant = e.tenant;
-    v.priority = d.store.effective_priority(e);
-    v.seq = e.seq;
-    views.push_back(std::move(v));
-  }
-  return views;
-}
-
-std::vector<ExecView> running_views(Daemon& d) {
-  std::vector<ExecView> views;
-  for (auto& [key, e] : d.store.execs()) {
-    if (e.state != Exec::State::kRunning) continue;
-    ExecView v;
-    v.key = key;
-    v.tenant = e.tenant;
-    v.priority = d.store.effective_priority(e);
-    v.seq = e.seq;
-    views.push_back(std::move(v));
-  }
-  return views;
-}
-
-/// Admission + preemption for one loop turn. Returns false on a
-/// daemon-fatal journal failure.
-bool schedule(Daemon& d, std::string& err) {
-  const std::int64_t now = d.clock.now_ms();
-
-  while (d.pool.running() < d.opts.parallel) {
-    const std::vector<ExecView> queued = queued_views(d, now);
-    const std::size_t pick =
-        pick_next(queued, d.store.tenants(), d.opts.max_per_tenant);
-    if (pick == kNoPick) break;
-    Exec* e = d.store.find_exec(queued[pick].key);
-    if (e == nullptr) break;
-    if (!start_exec(d, *e, err)) return false;
-    if (e->state != Exec::State::kRunning) break;  // spawn failed: back off
-  }
-
-  // Every slot busy and work still queued: preempt strictly lower-
-  // priority running work by killing it now. The victim re-queues at
-  // full retry credit and resumes from its newest periodic checkpoint
-  // (handle_exit); checkpoint writes are atomic, so a kill racing one
-  // never leaves a torn file under a checkpoint name.
-  if (d.pool.running() >= d.opts.parallel) {
-    const std::vector<ExecView> queued = queued_views(d, now);
-    const std::size_t pick =
-        pick_next(queued, d.store.tenants(), d.opts.max_per_tenant);
-    if (pick != kNoPick) {
-      const std::vector<ExecView> running = running_views(d);
-      const std::size_t vic = pick_victim(running, queued[pick].priority);
-      if (vic != kNoPick) {
-        Exec* victim = d.store.find_exec(running[vic].key);
-        if (victim != nullptr && !victim->preempt_pending) {
-          victim->preempt_pending = true;
-          const auto tag = d.key_tag.find(victim->key);
-          if (tag != d.key_tag.end()) d.pool.kill_child(tag->second);
-          d.note("emx_serve: " + victim->key +
-                 ": preempting for priority " +
-                 std::to_string(queued[pick].priority) + " work\n");
-        }
-      }
-    }
-  }
-  return true;
-}
-
-/// One reaped worker. Mirrors the sweep supervisor's policy, with one
-/// addition: a preemption kill re-queues at full retry credit — the
-/// daemon did it on purpose, so it is not evidence against the job.
-bool handle_exit(Daemon& d, const jobs::ExitStatus& es, std::string& err) {
-  const auto it = d.tag_key.find(es.tag);
-  if (it == d.tag_key.end()) return true;
-  const std::string key = it->second;
-  d.tag_key.erase(it);
-  d.key_tag.erase(key);
-
-  Exec* e = d.store.find_exec(key);
-  if (e == nullptr || e->state != Exec::State::kRunning) return true;
-  if (e->job_ids.empty()) {
-    // Every submitter canceled while it ran; the kill was ours.
-    d.store.drop_exec(key);
-    return true;
-  }
-
-  const std::int64_t now = d.clock.now_ms();
-  if (es.preempted) {
-    if (!d.store.record_preempt(*e, err)) return false;
-    e->resume_path = jobs::latest_checkpoint(e->ck_dir, e->job.manifest.app);
-    e->ready_at = now;  // no backoff: nothing is wrong with the job
-    d.note("emx_serve: " + key + ": preempted (resume " +
-           (e->resume_path.empty() ? "from scratch" : "from checkpoint") +
-           ")\n");
-    return true;
-  }
-
-  const jobs::ExitClass cls = jobs::classify_exit(es);
-  const std::string reason = jobs::exit_reason(es);
-  const unsigned spent = e->attempts - e->preempts;  ///< non-preempt starts
-  const auto backoff = [&] {
-    e->ready_at = now + jobs::backoff_delay_ms(spent, d.opts.backoff_ms,
-                                               d.opts.backoff_max_ms);
-  };
-  const auto retry_scratch = [&](const std::string& why) -> bool {
-    std::error_code ec;
-    fs::remove_all(e->ck_dir, ec);
-    e->resume_path.clear();
-    if (!d.store.record_fail(*e, why, err)) return false;
-    backoff();
-    d.note("emx_serve: " + key + ": retrying from scratch (" + why + ")\n");
-    return true;
-  };
-
-  switch (cls) {
-    case jobs::ExitClass::kOk: {
-      std::string bytes;
-      const std::string bad = jobs::audit_result(e->result_path, bytes);
-      if (!bad.empty()) {
-        if (spent <= d.opts.max_retries) return retry_scratch(bad);
-        if (!d.store.record_give_up(*e, bad, err)) return false;
-        return true;
-      }
-      if (!d.store.record_done(*e, bytes, err)) return false;
-      std::error_code ec;
-      fs::remove(e->result_path, ec);
-      if (!d.opts.quiet) {
-        d.note("emx_serve: " + key + ": " + e->success_status() + "\n");
-      }
-      return true;
-    }
-    case jobs::ExitClass::kPermanent:
-      return d.store.record_give_up(*e, reason, err);
-    case jobs::ExitClass::kRetryScratch:
-      if (spent <= d.opts.max_retries) return retry_scratch(reason);
-      return d.store.record_give_up(*e, reason, err);
-    case jobs::ExitClass::kRetryResume:
-      if (spent <= d.opts.max_retries) {
-        e->resume_path =
-            jobs::latest_checkpoint(e->ck_dir, e->job.manifest.app);
-        if (!d.store.record_fail(*e, reason, err)) return false;
-        backoff();
-        d.note("emx_serve: " + key + ": retrying (" + reason + ")\n");
-        return true;
-      }
-      return d.store.record_give_up(*e, reason, err);
-  }
-  err = "unreachable exit class";
-  return false;
 }
 
 /// Streams any new progress records to a watching connection; emits the
@@ -442,16 +230,10 @@ bool handle_request(Daemon& d, Conn& conn, const std::string& line,
     }
     case Request::Op::kCancel: {
       bool found = false, was_live = false;
-      std::string killed_key;
-      if (!d.store.cancel(req.id, found, was_live, killed_key, err))
-        return false;
+      if (!d.core.cancel(req.id, found, was_live, err)) return false;
       if (!found) {
         conn.out += error_line("unknown job id '" + req.id + "'");
         return true;
-      }
-      if (!killed_key.empty()) {
-        const auto tag = d.key_tag.find(killed_key);
-        if (tag != d.key_tag.end()) d.pool.kill_child(tag->second);
       }
       json::Value v = json::Value::object();
       v.set("ok", json::Value::boolean(true));
@@ -554,17 +336,11 @@ bool pump_conns(Daemon& d, std::string& err) {
 }  // namespace
 
 int run_daemon(const DaemonOptions& opts, std::string& err) {
-  if (opts.parallel == 0) {
-    err = "--jobs must be >= 1";
-    return 2;
-  }
-  if (::access(opts.emx_run.c_str(), X_OK) != 0) {
-    err = "worker binary '" + opts.emx_run + "' is not executable";
-    return 2;
-  }
-  jobs::Clock& clock = opts.clock != nullptr ? *opts.clock : jobs::real_clock();
-  Daemon d(opts, clock);
-  if (!d.store.open(opts.out_dir, opts.cache_max_bytes, err)) return 2;
+  Daemon d(opts);
+  jobs::JournalEntry header;
+  header.event = "serve";
+  header.raw_fields = {{"name", json::quote("serve")}, {"version", "1"}};
+  if (!d.core.open(header, err)) return 2;
   d.listen_fd = listen_unix(opts.socket_path, err);
   if (d.listen_fd < 0) return 2;
 
@@ -582,28 +358,17 @@ int run_daemon(const DaemonOptions& opts, std::string& err) {
   int code = 0;
   while (g_stop == 0) {
     accept_conns(d);
-    if (!pump_conns(d, err) || !schedule(d, err)) {
+    bool progressed = false;
+    if (!pump_conns(d, err) || !d.core.step(progressed, err)) {
       code = 2;
       break;
     }
-    std::vector<jobs::ExitStatus> exits;
-    d.pool.poll(exits);
-    bool fatal = false;
-    for (const jobs::ExitStatus& es : exits)
-      if (!handle_exit(d, es, err)) {
-        fatal = true;
-        break;
-      }
-    if (fatal) {
-      code = 2;
-      break;
-    }
-    if (d.draining && d.store.all_terminal() && d.pool.running() == 0) {
+    if (d.draining && d.core.idle()) {
       // Flush terminal watch events before leaving.
       if (!pump_conns(d, err)) code = 2;
       break;
     }
-    clock.sleep_ms(5);
+    d.core.clock().sleep_ms(5);
   }
 
   if (code == 0 && g_stop == 0 && d.draining) {

@@ -3,13 +3,12 @@
 //
 // One single-threaded event loop owns everything: accepting
 // connections, parsing newline-delimited JSON requests
-// (serve/protocol.hpp), admitting jobs through the fair-share scheduler
-// (serve/scheduler.hpp), driving workers through the same ProcessPool
-// and exit-code policy as emx_sweep, and streaming `watch` progress
-// from the workers' CRC-framed progress files. Single-threaded is a
-// feature: every decision is serialized against the journal write that
-// records it, so the crash story stays the supervisor's — journal
-// first, act second, converge on restart.
+// (serve/protocol.hpp), stepping the job core (jobs/core.hpp) — the same
+// admission, worker and exit-code state machine emx_sweep runs on — and
+// streaming `watch` progress from the workers' CRC-framed progress
+// files. Single-threaded is a feature: every decision is serialized
+// against the journal write that records it, so the crash story is the
+// core's — journal first, act second, converge on restart.
 //
 // Preemption is a kill: when higher-priority work is queued and every
 // slot is busy, the lowest-priority running worker is SIGKILLed at once
@@ -21,29 +20,15 @@
 // torn resume point.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
-#include "jobs/clock.hpp"
+#include "jobs/core.hpp"
 
 namespace emx::serve {
 
-struct DaemonOptions {
+/// The core's options plus the socket. progress_every > 0 arms `watch`.
+struct DaemonOptions : jobs::CoreOptions {
   std::string socket_path;
-  std::string out_dir;
-  std::string emx_run;  ///< worker binary
-
-  unsigned parallel = 2;        ///< worker slots
-  unsigned max_retries = 3;     ///< non-preemption retries per exec
-  unsigned max_per_tenant = 0;  ///< running execs per tenant; 0 = no cap
-  std::int64_t timeout_ms = 0;  ///< per-attempt wall clock; 0 = none
-  std::int64_t backoff_ms = 250;
-  std::int64_t backoff_max_ms = 8000;
-  std::uint64_t checkpoint_every = 100000;  ///< cycles; 0 disarms
-  std::uint64_t progress_every = 50000;     ///< cycles; 0 disarms watch
-  std::uint64_t cache_max_bytes = 0;        ///< result-cache cap; 0 = none
-  bool quiet = false;
-  jobs::Clock* clock = nullptr;  ///< nullptr = real_clock()
 };
 
 /// Runs the daemon until a `drain` request has been honored (all work

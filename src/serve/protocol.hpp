@@ -20,40 +20,32 @@
 // The "run" object names the workload and its coordinates (`app`,
 // `procs`, `threads`, `size_per_proc`, `seed`) plus any manifest knob
 // from the sweep-spec "base" vocabulary (network, barrier, watchdog,
-// fault plan, ... — see docs/JOBS.md). It is expanded through the same
-// SweepSpec machinery emx_sweep uses, so a submitted run gets the same
-// manifest-CRC key as the equivalent sweep cell — which is exactly what
-// makes daemon results and sweep results dedupe against each other.
+// fault plan, ... — see docs/JOBS.md). It is expanded by jobs::parse_run,
+// the same function emx_sweep checks its cells against, so a submitted
+// run gets the same manifest-CRC key as the equivalent sweep cell — which
+// is exactly what makes daemon results and sweep results dedupe against
+// each other.
 #pragma once
 
 #include <string>
 
 #include "common/json.hpp"
-#include "jobs/spec.hpp"
+#include "jobs/job_store.hpp"
 
 namespace emx::serve {
 
-constexpr int kMinPriority = 0;
-constexpr int kMaxPriority = 9;
+using jobs::kMaxPriority;
+using jobs::kMinPriority;
 
-struct Request {
+/// One request; a submit fills the inherited jobs::Submission.
+struct Request : jobs::Submission {
   enum class Op { kSubmit, kStatus, kList, kCancel, kWatch, kDrain };
   Op op = Op::kList;
-  std::string tenant = "default";  ///< submit
-  int priority = kMinPriority;     ///< submit; higher preempts lower
-  std::string id;                  ///< status / cancel / watch
-  jobs::JobSpec job;               ///< submit: expanded and keyed
-  std::string raw_run;             ///< submit: canonical run-object JSON
+  std::string id;  ///< status / cancel / watch
 };
 
 /// Parses one request line. Returns false with a client-facing `err`.
 bool parse_request(const std::string& line, Request& out, std::string& err);
-
-/// Expands one "run" object into a fully keyed JobSpec (registry
-/// defaults applied, manifest CRC computed). Shared between submit
-/// parsing and journal-replay recovery, so a daemon restarted over its
-/// journal re-derives exactly the key it journaled.
-bool parse_run(const json::Value& run, jobs::JobSpec& out, std::string& err);
 
 /// {"ok":false,"error":"..."} plus newline.
 std::string error_line(const std::string& msg);

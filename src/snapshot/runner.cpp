@@ -153,30 +153,6 @@ RunResult run(const RunOptions& opts) {
     if (workload == nullptr) return fail(2, err);
   }
 
-  // --- static verification gate: every ISA program the build registered
-  // is checked before the first cycle runs (pure analysis; cycle counts
-  // are byte-identical whether or not the gate is armed) ---
-  if (opts.verify_static != verify::GateMode::kOff) {
-    std::string findings;
-    std::size_t total = 0;
-    const auto& programs = machine.isa_programs();
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-      const verify::Report vr = verify::verify_program(
-          *programs[i], m.app + " program #" + std::to_string(i));
-      total += vr.findings.size();
-      findings += vr.summary_text();
-    }
-    if (total > 0) {
-      if (opts.verify_static == verify::GateMode::kError)
-        return fail(6, "static verification found " + std::to_string(total) +
-                           " problem(s) (--verify-static=error):\n" + findings);
-      std::fprintf(stderr,
-                   "emx: static verification found %zu problem(s) "
-                   "(--verify-static=warn, running anyway):\n%s",
-                   total, findings.c_str());
-    }
-  }
-
   Recorder recorder(m, digest_interval > 0 ? digest_interval : 1);
 
   // --- drive run_to() through the union of the pause schedules ---
@@ -290,7 +266,7 @@ RunResult run(const RunOptions& opts) {
   }
 
   // Machine-readable result summary, published atomically so a reader
-  // (the sweep supervisor) never sees a torn file.
+  // (the job core) never sees a torn file.
   if (!opts.result_json_path.empty()) {
     const std::string err =
         fsio::atomic_write_file(opts.result_json_path, result_json(m, r) + "\n");

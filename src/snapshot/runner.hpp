@@ -11,7 +11,6 @@
 // Exit-code mapping (RunResult::exit_code mirrors emx_run):
 //   0 completed + verified    1 wrong result        2 bad input/corrupt file
 //   3 checker findings        4 watchdog fired      5 snapshot/replay divergence
-//   6 static verification findings (--verify-static=error)
 #pragma once
 
 #include <string>
@@ -21,7 +20,6 @@
 #include "core/instrumentation.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/manifest.hpp"
-#include "verify/verifier.hpp"
 
 namespace emx::trace {
 class TraceSink;
@@ -63,20 +61,13 @@ struct RunOptions {
   /// cell parameters, cycle count, verification verdict, breakdown
   /// shares and trace digest. The content is deterministic — a resumed
   /// run emits byte-identical JSON to an uninterrupted one — which is
-  /// what lets the sweep supervisor byte-compare aggregates as its
+  /// what lets a sweep byte-compare aggregates as its
   /// crash-convergence oracle. Like --checkpoint-dir and --record, the
   /// path is probed up front so a typo is exit 2 before cycles burn.
   std::string result_json_path;
 
   /// Optional extra trace sink, chained behind the runner's DigestSink.
   trace::TraceSink* sink = nullptr;
-
-  /// Pre-run static verification of every ISA program the workload
-  /// build registered (Machine::isa_programs). kWarn prints findings to
-  /// stderr and runs anyway; kError stops before the first cycle with
-  /// exit code 6. Pure analysis either way: simulated cycles are
-  /// byte-identical across all three modes.
-  verify::GateMode verify_static = verify::GateMode::kWarn;
 };
 
 struct RunResult {
@@ -100,7 +91,7 @@ struct RunResult {
 RunResult run(const RunOptions& opts);
 
 /// The one-line result-summary JSON described at result_json_path (also
-/// used by the supervisor's aggregate writer when re-serializing cached
+/// used by the sweep aggregate writer when re-serializing cached
 /// cells). Deterministic for a deterministic run.
 std::string result_json(const RunManifest& m, const RunResult& r);
 

@@ -467,17 +467,4 @@ Report verify_program(const isa::Program& program, std::string name) {
   return report;
 }
 
-bool parse_gate_mode(const std::string& text, GateMode& mode) {
-  if (text == "off") {
-    mode = GateMode::kOff;
-  } else if (text == "warn") {
-    mode = GateMode::kWarn;
-  } else if (text == "error") {
-    mode = GateMode::kError;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace emx::verify

@@ -31,8 +31,8 @@
 // unreachable code and suspend-free loops are warnings (a bounded
 // compute loop is legal, just suspicious in a fine-grain-threading ISA).
 //
-// Three surfaces: this Report API, the `emx_run --verify-static` pre-run
-// gate (findings exit with code 6), and the standalone tools/emx_verify.
+// Two surfaces: this Report API and the standalone tools/emx_verify
+// (findings exit with code 6).
 #pragma once
 
 #include <cstdint>
@@ -88,15 +88,5 @@ struct Report {
 
 /// Runs every static check over `program`.
 Report verify_program(const isa::Program& program, std::string name = "");
-
-/// How the pre-run gate treats findings (emx_run --verify-static).
-enum class GateMode : std::uint8_t {
-  kOff,   ///< do not verify
-  kWarn,  ///< print findings to stderr, run anyway
-  kError, ///< findings abort the run with exit code 6
-};
-
-/// Parses "off" / "warn" / "error"; returns false on anything else.
-bool parse_gate_mode(const std::string& text, GateMode& mode);
 
 }  // namespace emx::verify

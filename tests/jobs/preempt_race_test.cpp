@@ -14,8 +14,8 @@
 #include "common/fsio.hpp"
 #include "common/test_dir.hpp"
 #include "jobs/clock.hpp"
+#include "jobs/core.hpp"
 #include "jobs/process_pool.hpp"
-#include "jobs/supervisor.hpp"
 #include "snapshot/format.hpp"
 #include "snapshot/runner.hpp"
 

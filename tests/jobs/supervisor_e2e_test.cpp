@@ -1,7 +1,7 @@
-// End-to-end: the supervisor driving the real emx_run binary
-// (EMX_RUN_BIN, injected by CMake). Covers the full tentpole story:
+// End-to-end: a sweep driving the real emx_run binary (EMX_RUN_BIN,
+// injected by CMake) through the job core. Covers the full story:
 // verified results, cache convergence, worker-flag fidelity, and a
-// SIGKILL'd supervisor converging to a byte-identical aggregate.
+// SIGKILL'd sweep converging to a byte-identical aggregate.
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,7 +15,7 @@
 
 #include "common/json.hpp"
 #include "common/test_dir.hpp"
-#include "jobs/supervisor.hpp"
+#include "jobs/sweep.hpp"
 
 namespace emx::jobs {
 namespace {
@@ -31,8 +31,8 @@ class SupervisorE2eTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  SupervisorOptions options(const std::string& out_name) {
-    SupervisorOptions opts;
+  SweepOptions options(const std::string& out_name) {
+    SweepOptions opts;
     opts.spec.name = "e2e";
     opts.spec.apps = {"sort"};
     opts.spec.procs = {4};
@@ -87,7 +87,7 @@ TEST_F(SupervisorE2eTest, WorkerFlagsReproduceTheManifestExactly) {
   // echoes the manifest CRC it actually ran, which must equal the CRC
   // the supervisor derived the cell key from. Any drift between
   // worker_flags() and emx_run's flag handling fails here.
-  SupervisorOptions opts = options("out_flags");
+  SweepOptions opts = options("out_flags");
   opts.spec.base.block_reads = true;
   opts.spec.base.iterations = 4;
   opts.spec.base.config.switch_save_cycles = 8;

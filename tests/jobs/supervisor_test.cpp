@@ -1,7 +1,7 @@
-// Supervisor policy units plus retry/degradation behaviour against stub
-// workers (shell scripts standing in for emx_run, so failure schedules
-// are exact and the tests stay fast).
-#include "jobs/supervisor.hpp"
+// Job-core policy units plus sweep retry/degradation behaviour against
+// stub workers (shell scripts standing in for emx_run, so failure
+// schedules are exact and the tests stay fast).
+#include "jobs/sweep.hpp"
 
 #include <filesystem>
 #include <fstream>
@@ -52,7 +52,6 @@ TEST(SupervisorPolicy, ExitReasonsAreStableTokens) {
   EXPECT_EQ(exit_reason(exited(3)), "checker");
   EXPECT_EQ(exit_reason(exited(4)), "watchdog");
   EXPECT_EQ(exit_reason(exited(5)), "snapshot-divergence");
-  EXPECT_EQ(exit_reason(exited(6)), "verify");
   EXPECT_EQ(exit_reason(exited(127)), "exec-failed");
   EXPECT_EQ(exit_reason(exited(42)), "exit-42");
   EXPECT_EQ(exit_reason(killed(9)), "signal-9");
@@ -119,8 +118,8 @@ class SupervisorStubTest : public ::testing::Test {
     return path;
   }
 
-  SupervisorOptions base_options(const std::string& stub) {
-    SupervisorOptions opts;
+  SweepOptions base_options(const std::string& stub) {
+    SweepOptions opts;
     opts.spec.name = "stub";
     opts.spec.apps = {"sort"};
     opts.spec.procs = {4};
@@ -228,7 +227,7 @@ TEST_F(SupervisorStubTest, MixingSweepsInOneOutDirIsRefused) {
   SweepOutcome outcome;
   std::string err;
   ASSERT_EQ(run_sweep(base_options(stub), outcome, err), 0) << err;
-  SupervisorOptions other = base_options(stub);
+  SweepOptions other = base_options(stub);
   other.spec.seeds = {1, 2};  // different grid → different digest
   const int code = run_sweep(other, outcome, err);
   EXPECT_EQ(code, 2);
@@ -247,7 +246,7 @@ TEST_F(SupervisorStubTest, LyingWorkerIsCaughtByResultValidation) {
 }
 
 TEST_F(SupervisorStubTest, MissingWorkerBinaryIsSetupError) {
-  SupervisorOptions opts = base_options((dir_ / "nonexistent").string());
+  SweepOptions opts = base_options((dir_ / "nonexistent").string());
   SweepOutcome outcome;
   std::string err;
   EXPECT_EQ(run_sweep(opts, outcome, err), 2);

@@ -155,6 +155,9 @@ TEST_F(DaemonPreemptTest, HigherPriorityWorkKillsTheVictimOutright) {
   const Value* b_job = end.find("job");
   ASSERT_NE(b_job, nullptr);
   EXPECT_EQ(field(*b_job, "state"), "done") << b_job->dump();
+  // A blessed success leaves no checkpoint directory behind.
+  EXPECT_FALSE(fs::exists(fs::path(opts.out_dir) / "jobs" /
+                          field(*b_job, "key") / "ck"));
 
   // A was killed once and, with no periodic checkpoint, restarted from
   // scratch: an on-demand checkpoint would have made this a resume.

@@ -1,36 +1,14 @@
-// The pre-run gate: gate-mode parsing, the Machine-side ISA program
-// registry the gate walks, the runner wiring, and the clean-pass
-// contract over every registry workload.
+// The Machine-side ISA program registry and the clean-pass contract:
+// every program a registry workload builds verifies clean.
 #include <gtest/gtest.h>
 
 #include "core/machine.hpp"
 #include "isa/interpreter.hpp"
-#include "snapshot/runner.hpp"
 #include "verify/verifier.hpp"
 #include "workloads/registry.hpp"
 
 namespace emx::verify {
 namespace {
-
-TEST(GateMode, ParsesTheThreeModes) {
-  GateMode mode = GateMode::kOff;
-  EXPECT_TRUE(parse_gate_mode("off", mode));
-  EXPECT_EQ(mode, GateMode::kOff);
-  EXPECT_TRUE(parse_gate_mode("warn", mode));
-  EXPECT_EQ(mode, GateMode::kWarn);
-  EXPECT_TRUE(parse_gate_mode("error", mode));
-  EXPECT_EQ(mode, GateMode::kError);
-}
-
-TEST(GateMode, RejectsEverythingElse) {
-  GateMode mode = GateMode::kWarn;
-  EXPECT_FALSE(parse_gate_mode("", mode));
-  EXPECT_FALSE(parse_gate_mode("on", mode));
-  EXPECT_FALSE(parse_gate_mode("Error", mode));
-  EXPECT_FALSE(parse_gate_mode("error ", mode));
-  // A failed parse must leave the mode untouched.
-  EXPECT_EQ(mode, GateMode::kWarn);
-}
 
 TEST(MachineIsaRegistry, RegisteredProgramsAreRecorded) {
   MachineConfig cfg;
@@ -75,40 +53,6 @@ TEST(GateCleanPass, EveryRegistryWorkloadVerifiesClean) {
       EXPECT_TRUE(r.clean()) << r.summary_text();
     }
   }
-}
-
-// End-to-end through the snapshot runner: the gate in error mode must
-// not disturb a clean run (and the run must still verify its result).
-TEST(GateRunner, ErrorModeIsTransparentForCleanWorkloads) {
-  snapshot::RunOptions opts;
-  opts.manifest.app = "sort";
-  opts.manifest.size_per_proc = 32;
-  opts.manifest.threads = 2;
-  opts.manifest.config.proc_count = 4;
-  opts.verify_static = GateMode::kError;
-  const snapshot::RunResult res = snapshot::run(opts);
-  EXPECT_EQ(res.exit_code, 0) << res.error;
-  EXPECT_TRUE(res.result_ok);
-}
-
-TEST(GateRunner, OffModeMatchesErrorModeCycleForCycle) {
-  auto run_with = [](GateMode mode) {
-    snapshot::RunOptions opts;
-    opts.manifest.app = "bfs";
-    opts.manifest.size_per_proc = 64;
-    opts.manifest.threads = 2;
-    opts.manifest.config.proc_count = 4;
-    opts.verify_static = mode;
-    return snapshot::run(opts);
-  };
-  const snapshot::RunResult off = run_with(GateMode::kOff);
-  const snapshot::RunResult err = run_with(GateMode::kError);
-  EXPECT_EQ(off.exit_code, 0);
-  EXPECT_EQ(err.exit_code, 0);
-  // Pure analysis: the gate may never perturb simulation.
-  EXPECT_EQ(off.end_cycle, err.end_cycle);
-  EXPECT_EQ(off.trace_events, err.trace_events);
-  EXPECT_EQ(off.trace_crc, err.trace_crc);
 }
 
 }  // namespace

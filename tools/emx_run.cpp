@@ -30,9 +30,6 @@
 //      the stall diagnosis is printed to stderr
 //   5  snapshot divergence: --resume state verification failed, or
 //      --replay digests differ from the recording
-//   6  static verification findings (--verify-static=error): an ISA
-//      program registered by the workload failed the emx::verify
-//      CFG/dataflow checks before any cycle ran
 #include <cstdio>
 #include <cstdlib>
 
@@ -290,9 +287,6 @@ int main(int argc, char** argv) {
               "stop + diagnose after N cycles without progress (0 = off); "
               "exit code 4 when it fires")
       .define("check", "", "checkers: memcheck,race,deadlock,lint | all | none")
-      .define("verify-static", "warn",
-              "static CFG/dataflow verification of ISA programs before "
-              "the run: off | warn | error (error exits 6 on findings)")
       .define("checkpoint-every", "0",
               "write a full snapshot every N cycles (0 = off); needs "
               "--checkpoint-dir")
@@ -310,8 +304,8 @@ int main(int argc, char** argv) {
               "record-replay digest frame interval, cycles")
       .define("result-json", "",
               "write a one-line machine-readable result summary here "
-              "(atomic publish; deterministic across resume — the sweep "
-              "supervisor's cache currency)")
+              "(atomic publish; deterministic across resume — the job "
+              "core's cache currency)")
       .define("progress-every", "0",
               "append a CRC-framed progress record (cycle, live threads, "
               "checkpoint count) every N cycles (0 = off); needs "
@@ -426,13 +420,6 @@ int main(int argc, char** argv) {
   }
 
   snapshot::RunOptions opts;
-  if (!verify::parse_gate_mode(flags.str("verify-static"), opts.verify_static)) {
-    std::fprintf(stderr,
-                 "emx_run: --verify-static=%s is not a mode "
-                 "(want off | warn | error)\n",
-                 flags.str("verify-static").c_str());
-    return 2;
-  }
   opts.manifest = manifest;
   opts.verify_result = flags.boolean("verify");
   opts.checkpoint_every = static_cast<Cycle>(flags.integer("checkpoint-every"));

@@ -1,29 +1,30 @@
-// emx_sweep — crash-tolerant sweep supervisor over emx_run workers.
+// emx_sweep — crash-tolerant sweeps over emx_run workers.
 //
 //   $ emx_sweep --apps=sort,bfs --procs-list=4,8 --threads-list=1,2,4
 //               --out=out/sweep --jobs=4 --timeout-s=120
 //   $ emx_sweep --spec=sweep.json --out=out/sweep
 //
 // Expands an (app × h × n × P × seed) grid into manifest-keyed jobs and
-// drives them through a bounded pool of emx_run processes with
-// checkpointing armed. Killed or hung workers are retried with
-// exponential backoff, resuming from their newest checkpoint; every
-// state transition is journaled (fsync'd) so a killed supervisor can be
-// re-invoked over the same --out directory and converge: finished cells
-// come back from the result cache, half-done cells resume, and the
-// final aggregate.json is byte-identical to an undisturbed run's.
+// submits them to the job core — the state machine emx_serve runs on —
+// which drives a bounded pool of emx_run processes with checkpointing
+// armed. Killed or hung workers are retried with exponential backoff,
+// resuming from their newest checkpoint; every state transition is
+// journaled (fsync'd) so a killed sweep can be re-invoked over the same
+// --out directory and converge: finished cells come back from the
+// result cache, half-done cells resume, and the final aggregate.json is
+// byte-identical to an undisturbed run's.
 //
 // Exit codes: 0 every cell ok; 1 some cells exhausted their retries
 // (aggregate.json still written, with failed:<reason> provenance);
 // 2 bad input — unknown app/flag, unreadable spec, unwritable --out,
-// or journal state from a different sweep.
+// or journal state from a different sweep (or an older journal format).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "jobs/supervisor.hpp"
+#include "jobs/sweep.hpp"
 #include "workloads/registry.hpp"
 
 namespace {
@@ -94,10 +95,8 @@ int main(int argc, char** argv) {
       .define("checkpoint-every", "100000",
               "worker checkpoint period in cycles; 0 disarms resume")
       .define("cache-max-bytes", "0",
-              "result-cache size cap with LRU eviction; entries this "
-              "sweep references are pinned and never evicted. 0 = no cap")
-      .define("keep-checkpoints", "false",
-              "keep per-job checkpoints after success (default: cleaned)")
+              "result-cache size cap with LRU eviction; entries of cells "
+              "still running are pinned and never evicted. 0 = no cap")
       .define("dry-run", "false",
               "print the expanded job list and exit without running")
       .define("quiet", "false", "suppress per-job progress on stderr");
@@ -145,7 +144,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  emx::jobs::SupervisorOptions opts;
+  emx::jobs::SweepOptions opts;
   opts.spec = std::move(spec);
   opts.out_dir = flags.str("out");
   opts.emx_run = flags.str("emx-run");
@@ -166,7 +165,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.integer("checkpoint-every"));
   opts.cache_max_bytes =
       static_cast<std::uint64_t>(flags.integer("cache-max-bytes"));
-  opts.keep_checkpoints = flags.boolean("keep-checkpoints");
   opts.quiet = flags.boolean("quiet");
   if (flags.integer("jobs") <= 0 || flags.integer("retries") < 0 ||
       flags.integer("timeout-s") < 0 || flags.integer("backoff-ms") < 0 ||

@@ -9,12 +9,11 @@
 // (use-before-def, frame balance, barrier consistency, structural
 // lints). Assembler *syntax* errors abort with the assembler's own
 // file/line diagnostic; this tool's exit codes cover the semantic
-// checks, mirroring emx_run's scheme:
+// checks:
 //
 //   0  everything verified clean
 //   2  bad usage / unreadable file / unknown app
-//   6  findings (any severity) — the same code emx_run uses for
-//      --verify-static=error
+//   6  findings (any severity)
 #include <cstdio>
 #include <fstream>
 #include <sstream>
