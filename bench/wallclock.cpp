@@ -4,13 +4,13 @@
 // bfs, spmv, ptrchase, histsort) at each app's registry-default flags
 // through snapshot::run() — the same end-to-end path every real
 // invocation takes, trace digest included — N times each and reports the
-// median. Each app also records its peak resident set (VmHWM, reset via
-// /proc/self/clear_refs before the app's reps, so the number is per-app
-// rather than cumulative). Results land in BENCH_wallclock.json at the
-// repo root; the checked-in copy is the perf trajectory, and CI's
-// perf-smoke job runs `wallclock --check` to fail any change that
-// regresses sort throughput more than 15% below the recorded value
-// (sort stays the gate: it is the longest-recorded series).
+// median. Each app's reps run in a forked child, whose peak resident set
+// (ru_maxrss from wait4) is therefore that app's alone, on any kernel.
+// Results land in BENCH_wallclock.json at the repo root; the checked-in
+// copy is the perf trajectory, and CI's perf-smoke job runs
+// `wallclock --check` to fail any change that regresses sort throughput
+// more than 15% below the recorded value (sort stays the gate: it is the
+// longest-recorded series).
 //
 // Modes:
 //   wallclock                         measure, write --json
@@ -38,6 +38,8 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/cli.hpp"
 #include "snapshot/runner.hpp"
@@ -76,32 +78,6 @@ struct Sample {
   long peak_rss_kb = 0;
 };
 
-/// Resets the kernel's peak-RSS watermark (VmHWM) so the next
-/// peak_rss_kb() read covers only work done since. Best-effort: on
-/// kernels without CONFIG_MEM_SOFT_DIRTY the write fails and the
-/// reading falls back to the cumulative getrusage figure.
-void reset_peak_rss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return;
-  std::fputs("5", f);
-  std::fclose(f);
-}
-
-/// Peak resident set in KiB: VmHWM from /proc/self/status (resettable,
-/// per-measurement), falling back to getrusage's process-lifetime
-/// ru_maxrss where /proc is unavailable.
-long peak_rss_kb() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0)
-      return std::strtol(line.c_str() + 6, nullptr, 10);
-  }
-  struct rusage ru{};
-  if (::getrusage(RUSAGE_SELF, &ru) == 0) return ru.ru_maxrss;
-  return 0;
-}
-
 Sample measure_once(const std::string& app) {
   RunOptions opts;
   opts.manifest = default_manifest(app);
@@ -121,20 +97,52 @@ Sample measure_once(const std::string& app) {
   return s;
 }
 
-Sample measure(const std::string& app, int reps) {
+Sample median_of(const std::string& app, int reps) {
   std::vector<Sample> samples;
   samples.reserve(static_cast<std::size_t>(reps));
-  reset_peak_rss();
   for (int i = 0; i < reps; ++i) samples.push_back(measure_once(app));
-  const long rss = peak_rss_kb();
   // Median by throughput; cycle count is identical across reps (the
   // simulation is deterministic), so only the denominator varies.
   std::sort(samples.begin(), samples.end(),
             [](const Sample& a, const Sample& b) {
               return a.cycles_per_sec < b.cycles_per_sec;
             });
-  Sample s = samples[samples.size() / 2];
-  s.peak_rss_kb = rss;
+  return samples[samples.size() / 2];
+}
+
+/// median_of() in a forked child, so the child's ru_maxrss is the peak
+/// resident set of this app's reps alone.
+Sample measure(const std::string& app, int reps) {
+  int fds[2];
+  std::fflush(nullptr);  // the child must not re-emit buffered output
+  if (::pipe(fds) != 0) {
+    std::perror("wallclock: pipe");
+    std::exit(1);
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    std::perror("wallclock: fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+    const Sample s = median_of(app, reps);
+    const bool sent = ::write(fds[1], &s, sizeof s) == sizeof s;
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  Sample s;
+  const bool got = ::read(fds[0], &s, sizeof s) == sizeof s;
+  ::close(fds[0]);
+  int status = 0;
+  struct rusage ru{};
+  if (::wait4(pid, &status, 0, &ru) != pid || !got || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "wallclock: the %s measurement failed\n",
+                 app.c_str());
+    std::exit(1);
+  }
+  s.peak_rss_kb = ru.ru_maxrss;
   return s;
 }
 

@@ -10,6 +10,9 @@
 #      checkpoint finishes with the identical report — fault-free AND
 #      under an active fault plan.
 #   3. Contradictory flag combinations exit 2 up front, never run wrong.
+#   4. PE memory costs what the program touches: a P=256 histsort peaks
+#      under 256 MiB RSS (eagerly allocated 4 MB memories would need
+#      over 1 GiB).
 #
 # Usage: scripts/ci_roundtrip.sh [path-to-emx_run]
 set -euo pipefail
@@ -87,5 +90,22 @@ expect2 "--resume with a contradicting seed" --resume="$ck" --seed=999
 # rejected the flags and not the mechanism.
 "$RUN" --replay="$rr" > /dev/null
 echo "ok: clean replay of the recording passes"
+
+# --- 4. peak RSS of a wide machine ------------------------------------
+python3 - "$RUN" <<'PY'
+import os, subprocess, sys
+limit_mib = 256
+child = subprocess.Popen([sys.argv[1], "--app=histsort", "--procs=256"],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+rss_mib = usage.ru_maxrss / 1024  # Linux reports KiB
+if os.waitstatus_to_exitcode(status) != 0:
+    sys.exit(f"FAIL: histsort --procs=256 exited with status {status}")
+if rss_mib > limit_mib:
+    sys.exit(f"FAIL: histsort --procs=256 peaked at {rss_mib:.0f} MiB RSS, "
+             f"limit {limit_mib} MiB")
+print(f"ok: histsort --procs=256 peaks at {rss_mib:.0f} MiB RSS "
+      f"(limit {limit_mib} MiB)")
+PY
 
 echo "roundtrip gate: all checks passed"

@@ -12,6 +12,8 @@ namespace {
 constexpr int kMaxDepth = 64;
 
 struct Parser {
+  explicit Parser(std::string_view t) : text(t) {}
+
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
@@ -368,7 +370,7 @@ std::string Value::dump(int indent) const {
 }
 
 Value Value::parse(std::string_view text, std::string& error) {
-  Parser p{text};
+  Parser p(text);
   Value v;
   if (!p.parse_value(v, 0)) {
     error = p.error;

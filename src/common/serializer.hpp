@@ -32,6 +32,19 @@ namespace emx::ser {
 /// run it inside the simulation hot loop.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
+/// CRC-32 of a ++ b from crc32(a), crc32(b) and b's length in bytes,
+/// without the bytes: zlib's GF(2) polynomial algebra (crc1 times
+/// x^(8*len2) mod the CRC polynomial, xor crc2), written in-tree.
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                            std::uint64_t len2);
+
+/// The x^(8*len2) operator of crc32_combine, for a length used over and
+/// over: crc32_combine_op(crc1, crc2, crc32_combine_gen(len2)) equals
+/// crc32_combine(crc1, crc2, len2) at the cost of one GF(2) multiply.
+std::uint32_t crc32_combine_gen(std::uint64_t len2);
+std::uint32_t crc32_combine_op(std::uint32_t crc1, std::uint32_t crc2,
+                               std::uint32_t op);
+
 /// `crc` as 8 lowercase hex digits: how journals, cache entries and
 /// sweep provenance spell a CRC.
 std::string crc_hex(std::uint32_t crc);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 
 #include "common/fsio.hpp"
 #include "common/serializer.hpp"
@@ -440,17 +441,36 @@ bool JobStore::replay(const std::vector<JournalEntry>& entries,
   return true;
 }
 
-bool JobStore::compact(std::string& err) {
+bool JobStore::compact(bool drop_cached_reruns, std::string& err) {
   // Keep the durable facts (header, submits, terminal records) in their
-  // original order; drop only the attempt history (start/fail/preempt),
-  // whose every effect is subsumed by the "done" counters. Original
-  // order is what makes the filtered journal replay exactly.
+  // original order; drop the attempt history (start/fail/preempt),
+  // whose every effect is subsumed by the "done" counters, and, when
+  // asked, the cache answers to keys already done. Original order is
+  // what makes the filtered journal replay exactly.
   std::vector<JournalEntry> entries;
   std::string warning;
   if (!Journal::load(journal_.path(), entries, warning, err)) return false;
+  std::set<std::string> dropped_ids;
+  if (drop_cached_reruns) {
+    std::map<std::string, std::string> key_of;  // job id -> key
+    std::set<std::string> done_keys;
+    for (const JournalEntry& e : entries) {
+      if (e.event == "submit") {
+        key_of[e.field("id")] = e.field("key");
+      } else if (e.event == "done") {
+        done_keys.insert(e.field("key"));
+      } else if (e.event == "cached" &&
+                 done_keys.count(key_of[e.field("id")]) != 0) {
+        dropped_ids.insert(e.field("id"));
+      }
+    }
+  }
   std::vector<JournalEntry> keep;
   for (JournalEntry& e : entries) {
     if (e.event == "start" || e.event == "fail" || e.event == "preempt")
+      continue;
+    if ((e.event == "submit" || e.event == "cached") &&
+        dropped_ids.count(e.field("id")) != 0)
       continue;
     keep.push_back(std::move(e));
   }

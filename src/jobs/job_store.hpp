@@ -140,8 +140,14 @@ class JobStore {
 
   /// Rewrites the journal down to submits plus terminal facts — called
   /// once everything is terminal (a clean drain, a finished sweep), when
-  /// the attempt history is all redundant.
-  bool compact(std::string& err);
+  /// the attempt history is all redundant. With `drop_cached_reruns`
+  /// it also drops every job the result cache answered for a key the
+  /// journal already records as done: such a submit + cached pair only
+  /// restates that done line. The sweep passes it, as it re-submits
+  /// every cell on each invocation and never names a job by id; the
+  /// daemon does not, as `status` must still find every job after a
+  /// restart.
+  bool compact(bool drop_cached_reruns, std::string& err);
 
  private:
   bool replay(const std::vector<JournalEntry>& entries, std::string& err);

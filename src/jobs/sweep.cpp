@@ -93,7 +93,7 @@ int run_sweep(const SweepOptions& opts, SweepOutcome& out, std::string& err) {
   // Every cell is terminal, so the attempt history is redundant. Failure
   // to compact is a warning: the journal is merely larger, never wrong.
   std::string compact_err;
-  if (!core.store().compact(compact_err))
+  if (!core.store().compact(/*drop_cached_reruns=*/true, compact_err))
     std::fprintf(stderr, "emx_sweep: warning: %s\n", compact_err.c_str());
   return out.failed == 0 ? 0 : 1;
 }

@@ -1,10 +1,20 @@
 // Per-PE local memory: 4 MB of one-level static RAM on the EMC-Y,
 // word-addressed (32-bit words). The simulator stores real data here so
 // application results can be verified, not just timed.
+//
+// The words live in 4 KiB pages that all share one static zero page
+// until their first write, so a machine costs host memory for what its
+// programs touch, not for what the EMC-Y could hold. Each page caches
+// its CRC and a dirty byte; save() re-hashes only the pages written
+// since the previous save and folds the page CRCs into the digest of
+// the whole memory.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -19,9 +29,20 @@ class Memory {
   /// fn-pointer style to keep the unprobed fast path a single null test.
   using WriteProbe = void (*)(void* ctx, LocalAddr addr, std::uint32_t words);
 
-  explicit Memory(std::size_t words) : words_(words, 0) {}
+  static constexpr unsigned kPageShift = 10;
+  static constexpr std::size_t kPageWords = std::size_t{1} << kPageShift;
 
-  std::size_t size() const { return words_.size(); }
+  explicit Memory(std::size_t words)
+      : size_(words),
+        view_((words + kPageWords - 1) / kPageWords, kZeroPage),
+        pages_(view_.size()) {
+    for (std::size_t p = 0; p < pages_.size(); ++p)
+      pages_[p].crc = page_words(p) == kPageWords
+                          ? zero_page_crc()
+                          : ser::crc32(kZeroPage, page_words(p) * sizeof(Word));
+  }
+
+  std::size_t size() const { return size_; }
 
   void set_write_probe(WriteProbe probe, void* ctx) {
     probe_ = probe;
@@ -29,13 +50,13 @@ class Memory {
   }
 
   Word read(LocalAddr addr) const {
-    EMX_DCHECK(addr < words_.size(), "memory read out of range");
-    return words_[addr];
+    EMX_DCHECK(addr < size_, "memory read out of range");
+    return view_[addr >> kPageShift][addr & (kPageWords - 1)];
   }
 
   void write(LocalAddr addr, Word value) {
-    EMX_DCHECK(addr < words_.size(), "memory write out of range");
-    words_[addr] = value;
+    EMX_DCHECK(addr < size_, "memory write out of range");
+    writable(addr >> kPageShift)[addr & (kPageWords - 1)] = value;
     if (probe_ != nullptr) probe_(probe_ctx_, addr, 1);
   }
 
@@ -47,24 +68,77 @@ class Memory {
   }
 
   void fill(LocalAddr base, const Word* data, std::size_t count) {
-    EMX_CHECK(base + count <= words_.size(), "memory fill out of range");
-    for (std::size_t i = 0; i < count; ++i) words_[base + i] = data[i];
+    EMX_CHECK(base + count <= size_, "memory fill out of range");
+    for (std::size_t done = 0; done < count;) {
+      const std::size_t addr = base + done;
+      const std::size_t offset = addr & (kPageWords - 1);
+      const std::size_t n = std::min(count - done, kPageWords - offset);
+      std::memcpy(writable(addr >> kPageShift) + offset, data + done,
+                  n * sizeof(Word));
+      done += n;
+    }
     if (probe_ != nullptr) probe_(probe_ctx_, base, static_cast<std::uint32_t>(count));
   }
-
-  void clear() { std::fill(words_.begin(), words_.end(), 0u); }
 
   /// Serializes size + content CRC rather than the raw words: at 4 MB per
   /// PE a full image would dominate the checkpoint, and the
   /// restore-by-replay design only needs to *verify* memory, for which
-  /// the digest is as strong a witness as the bytes.
+  /// the digest is as strong a witness as the bytes. The CRC is the
+  /// flat crc32 of every word, folded from the cached page CRCs.
   void save(ser::Serializer& s) const {
-    s.u64(words_.size());
-    s.u32(ser::crc32(words_.data(), words_.size() * sizeof(Word)));
+    static const std::uint32_t shift_page =
+        ser::crc32_combine_gen(kPageWords * sizeof(Word));
+    std::uint32_t crc = 0;
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+      Page& page = pages_[p];
+      const std::size_t bytes = page_words(p) * sizeof(Word);
+      if (page.dirty) {
+        page.crc = ser::crc32(view_[p], bytes);
+        page.dirty = false;
+      }
+      crc = bytes == kPageWords * sizeof(Word)
+                ? ser::crc32_combine_op(crc, page.crc, shift_page)
+                : ser::crc32_combine(crc, page.crc, bytes);
+    }
+    s.u64(size_);
+    s.u32(crc);
   }
 
  private:
-  std::vector<Word> words_;
+  struct Page {
+    std::unique_ptr<Word[]> words;  ///< null while the page reads as zero
+    std::uint32_t crc = 0;          ///< valid while !dirty
+    bool dirty = false;             ///< written since the last save()
+  };
+
+  static constexpr Word kZeroPage[kPageWords] = {};
+
+  static std::uint32_t zero_page_crc() {
+    static const std::uint32_t crc = ser::crc32(kZeroPage, sizeof kZeroPage);
+    return crc;
+  }
+
+  std::size_t page_words(std::size_t p) const {
+    return std::min(kPageWords, size_ - p * kPageWords);
+  }
+
+  /// The page's own storage, allocated zeroed on its first write, and
+  /// marked dirty for the next save().
+  Word* writable(std::size_t p) {
+    Page& page = pages_[p];
+    if (!page.dirty) {
+      if (!page.words) {
+        page.words = std::make_unique<Word[]>(kPageWords);
+        view_[p] = page.words.get();
+      }
+      page.dirty = true;
+    }
+    return page.words.get();
+  }
+
+  std::size_t size_;
+  std::vector<const Word*> view_;  ///< read path: owned page or kZeroPage
+  mutable std::vector<Page> pages_;
   WriteProbe probe_ = nullptr;
   void* probe_ctx_ = nullptr;
 };

@@ -373,7 +373,7 @@ int run_daemon(const DaemonOptions& opts, std::string& err) {
 
   if (code == 0 && g_stop == 0 && d.draining) {
     std::string cerr2;
-    if (!d.store.compact(cerr2))
+    if (!d.store.compact(/*drop_cached_reruns=*/false, cerr2))
       std::fprintf(stderr, "emx_serve: warning: %s\n", cerr2.c_str());
     d.note("emx_serve: drained\n");
   }

@@ -219,9 +219,10 @@ class Verifier {
         while (missing != 0) {
           const int r = std::countr_zero(missing);
           missing &= missing - 1;
-          add(FindingKind::kUseBeforeDef, i,
-              "r" + std::to_string(r) +
-                  " is read, but no definition reaches it on some path");
+          std::string msg(1, 'r');
+          msg += std::to_string(r);
+          msg += " is read, but no definition reaches it on some path";
+          add(FindingKind::kUseBeforeDef, i, std::move(msg));
         }
         const int rd = dest_reg(instr);
         if (rd > 0) mask |= std::uint32_t{1} << rd;

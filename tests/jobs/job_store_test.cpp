@@ -249,7 +249,7 @@ TEST_F(JobStoreTest, CompactionPreservesTerminalFactsAndCounters) {
     ASSERT_TRUE(store.record_start(*eb, false, err)) << err;
     ASSERT_TRUE(store.record_give_up(*eb, "exit-1", err)) << err;
     ASSERT_TRUE(store.all_terminal());
-    ASSERT_TRUE(store.compact(err)) << err;
+    ASSERT_TRUE(store.compact(/*drop_cached_reruns=*/false, err)) << err;
   }
 
   JobStore store;

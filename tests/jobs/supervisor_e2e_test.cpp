@@ -2,6 +2,7 @@
 // injected by CMake) through the job core. Covers the full story:
 // verified results, cache convergence, worker-flag fidelity, and a
 // SIGKILL'd sweep converging to a byte-identical aggregate.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -114,6 +115,31 @@ TEST_F(SupervisorE2eTest, RerunServesEveryCellFromCacheByteIdentically) {
   for (const CellOutcome& cell : second.cells)
     EXPECT_EQ(cell.status, "cached");
   EXPECT_EQ(slurp(first.aggregate_path), slurp(second.aggregate_path));
+}
+
+TEST_F(SupervisorE2eTest, ReinvokedSweepJournalStaysAtTwoLinesPerCell) {
+  // Header + one submit and one done per cell, however often a finished
+  // sweep is re-invoked: the cache answers of each re-run compact away.
+  const SweepOptions opts = options("out");
+  const std::string journal = opts.out_dir + "/journal.jsonl";
+  const auto lines = [&] {
+    const std::string text = slurp(journal);
+    return static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n'));
+  };
+  SweepOutcome first;
+  std::string err;
+  ASSERT_EQ(run_sweep(opts, first, err), 0) << err;
+  const std::size_t cells = first.cells.size();
+  EXPECT_EQ(lines(), 2 * cells + 1);
+  for (int rerun = 1; rerun <= 3; ++rerun) {
+    SweepOutcome again;
+    ASSERT_EQ(run_sweep(opts, again, err), 0) << err;
+    for (const CellOutcome& cell : again.cells)
+      EXPECT_EQ(cell.status, "cached") << "re-run " << rerun;
+    EXPECT_EQ(slurp(again.aggregate_path), slurp(first.aggregate_path));
+    EXPECT_EQ(lines(), 2 * cells + 1) << "after re-run " << rerun;
+  }
 }
 
 TEST_F(SupervisorE2eTest, KilledSupervisorConvergesByteIdentically) {

@@ -1,7 +1,10 @@
 #include "common/serializer.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "common/test_dir.hpp"
 #include "snapshot/format.hpp"
 
@@ -76,6 +79,30 @@ TEST(Crc32, KnownVectorAndChaining) {
   // Incremental CRC over a split buffer equals the one-shot CRC.
   const std::uint32_t head = crc32("12345", 5);
   EXPECT_EQ(crc32("6789", 4, head), 0xCBF43926u);
+}
+
+TEST(Crc32, CombineEqualsTheCrcOfTheConcatenation) {
+  Rng rng(0xC0BB1Eu);
+  std::vector<std::uint8_t> buf(3 * 4096 + 1);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  // Edge lengths first (empty, one byte, a page, a page plus one), then
+  // random ones; every length is split at its ends and at random points.
+  std::vector<std::size_t> lengths = {0, 1, 4096, 4097};
+  for (int i = 0; i < 40; ++i) lengths.push_back(rng.bounded(buf.size() + 1));
+  for (const std::size_t len : lengths) {
+    const std::uint32_t whole = crc32(buf.data(), len);
+    std::vector<std::size_t> splits = {0, len};
+    for (int i = 0; i < 4; ++i) splits.push_back(rng.bounded(len + 1));
+    for (const std::size_t at : splits) {
+      const std::uint32_t a = crc32(buf.data(), at);
+      const std::uint32_t b = crc32(buf.data() + at, len - at);
+      EXPECT_EQ(ser::crc32_combine(a, b, len - at), whole)
+          << "len " << len << " split at " << at;
+      EXPECT_EQ(ser::crc32_combine_op(a, b, ser::crc32_combine_gen(len - at)),
+                whole)
+          << "len " << len << " split at " << at;
+    }
+  }
 }
 
 TEST(SnapshotFormat, EncodeDecodeRoundTrip) {
