@@ -7,9 +7,11 @@
 // median. Each app's reps run in a forked child, whose peak resident set
 // (ru_maxrss from wait4) is therefore that app's alone, on any kernel.
 // Results land in BENCH_wallclock.json at the repo root; the checked-in
-// copy is the perf trajectory, and CI's perf-smoke job runs
-// `wallclock --check` to fail any change that regresses sort throughput
-// more than 15% below the recorded value (sort stays the gate: it is the
+// copy is the perf trajectory. CI's perf-smoke job builds this bench
+// from the merge base and from the change on the same runner, records
+// the merge base's numbers into a scratch JSON, and runs the change's
+// `wallclock --check` against it, failing a sort throughput more than
+// 15% below the merge base's (sort stays the gate: it is the
 // longest-recorded series).
 //
 // Modes:
@@ -230,8 +232,8 @@ int main(int argc, char** argv) {
     if (s.cycles_per_sec < floor) {
       std::fprintf(stderr,
                    "perf-smoke FAIL: sort throughput regressed more than 15%% "
-                   "below the recorded value — rerun bench/wallclock and "
-                   "commit the new BENCH_wallclock.json if intentional\n");
+                   "below the value recorded in %s\n",
+                   json_path.c_str());
       return 1;
     }
     return 0;

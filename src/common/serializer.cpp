@@ -1,7 +1,6 @@
 #include "common/serializer.hpp"
 
 #include <array>
-#include <bit>
 #include <cstdio>
 
 namespace emx::ser {
@@ -65,26 +64,53 @@ std::uint32_t x2nmodp(std::uint64_t n, unsigned k) {
   return p;
 }
 
+// One slice-by-8 step: folds the eight bytes at p into the raw
+// (pre-inverted) CRC register c.
+inline std::uint32_t crc_step8(std::uint32_t c, const std::uint8_t* p) {
+  const auto& t = kCrcTables;
+  // Little-endian loads spelled bytewise: one 32-bit load each on a
+  // little-endian host, and still correct on a big-endian one.
+  const std::uint32_t lo = c ^ (p[0] | p[1] << 8 | p[2] << 16 |
+                                static_cast<std::uint32_t>(p[3]) << 24);
+  const std::uint32_t hi = p[4] | p[5] << 8 | p[6] << 16 |
+                           static_cast<std::uint32_t>(p[7]) << 24;
+  return t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+         t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+         t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto& t = kCrcTables;
-    while (size >= 8) {
-      std::uint32_t lo = 0;
-      std::uint32_t hi = 0;
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-      lo ^= c;
-      c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-      p += 8;
-      size -= 8;
+  if (size >= kCrcLaneMin) {
+    // Four lanes over four equal quarters, stepped together: each step
+    // is a chain of dependent table loads, so four independent chains
+    // keep the load ports busy where one would wait on itself. Lanes
+    // 1-3 start from seed 0 and fold into lane 0 with the combine
+    // algebra: crc(a ++ b) = combine(crc(a), crc(b), |b|).
+    const std::size_t lane = (size / 4) & ~std::size_t{7};
+    const std::uint8_t* q = p + lane;
+    const std::uint8_t* r = q + lane;
+    const std::uint8_t* s = r + lane;
+    std::uint32_t c1 = 0xFFFFFFFFu;
+    std::uint32_t c2 = 0xFFFFFFFFu;
+    std::uint32_t c3 = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < lane; i += 8) {
+      c = crc_step8(c, p + i);
+      c1 = crc_step8(c1, q + i);
+      c2 = crc_step8(c2, r + i);
+      c3 = crc_step8(c3, s + i);
     }
+    const std::uint32_t op = crc32_combine_gen(lane);
+    c = crc32_combine_op(c ^ 0xFFFFFFFFu, c1 ^ 0xFFFFFFFFu, op);
+    c = crc32_combine_op(c, c2 ^ 0xFFFFFFFFu, op);
+    c = crc32_combine_op(c, c3 ^ 0xFFFFFFFFu, op) ^ 0xFFFFFFFFu;
+    p += 4 * lane;
+    size -= 4 * lane;
   }
+  for (; size >= 8; p += 8, size -= 8) c = crc_step8(c, p);
   while (size-- != 0) c = kCrcTables[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }

@@ -29,8 +29,11 @@ namespace emx::ser {
 /// CRC-32 (IEEE 802.3 polynomial, reflected). `seed` chains incremental
 /// computations: crc32(b, crc32(a)) == crc32(a ++ b). Implemented
 /// slice-by-8 — the digest paths (trace oracle, record-replay frames)
-/// run it inside the simulation hot loop.
+/// run it inside the simulation hot loop. Inputs of at least
+/// kCrcLaneMin bytes run four interleaved lanes folded with
+/// crc32_combine_op; the value is the same either way.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
+inline constexpr std::size_t kCrcLaneMin = 1024;
 
 /// CRC-32 of a ++ b from crc32(a), crc32(b) and b's length in bytes,
 /// without the bytes: zlib's GF(2) polynomial algebra (crc1 times

@@ -3,16 +3,14 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "network/routing.hpp"
 
 namespace emx::net {
 
 FastNetwork::FastNetwork(sim::SimContext& sim, std::uint32_t proc_count,
                          Cycle self_latency, Cycle port_interval)
     : sim_(sim),
-      hops_(ceil_log2(proc_count)),
-      routing_(is_power_of_two(proc_count)
-                   ? std::optional<ShuffleRouting>(ShuffleRouting(proc_count))
-                   : std::nullopt),
+      proc_count_(proc_count),
       self_latency_(self_latency),
       port_interval_(port_interval),
       inject_free_(proc_count, 0),
@@ -20,6 +18,14 @@ FastNetwork::FastNetwork(sim::SimContext& sim, std::uint32_t proc_count,
       self_q_(proc_count),
       fabric_q_(proc_count) {
   EMX_CHECK(proc_count > 0, "need at least one processor");
+  if (is_power_of_two(proc_count)) {
+    hops_ = ShuffleRouting(proc_count).hop_table();
+  } else {
+    hops_.assign(std::size_t{proc_count} * proc_count,
+                 static_cast<std::uint8_t>(ceil_log2(proc_count)));
+    for (ProcId p = 0; p < proc_count; ++p)
+      hops_[std::size_t{p} * proc_count + p] = 0;
+  }
 }
 
 void FastNetwork::inject(const Packet& packet) {
@@ -64,7 +70,7 @@ void FastNetwork::inject(const Packet& packet) {
   // than every earlier arrival at this destination, so the per-dst queue
   // is FIFO in id order and the delivery event only needs the id.
   const std::uint64_t id = next_fabric_id_++;
-  fabric_q_[packet.dst].emplace_back(id, packet);
+  fabric_q_[packet.dst].push_back({id, packet});
   sim_.schedule_at(arrival, &FastNetwork::fabric_deliver_event, this, id,
                    packet.dst);
 }
@@ -76,13 +82,13 @@ void FastNetwork::save_state(ser::Serializer& s) const {
   s.u64(next_fabric_id_);
   for (const auto& q : self_q_) {
     s.u32(static_cast<std::uint32_t>(q.size()));
-    for (const Packet& p : q) p.save(s);
+    for (std::size_t i = 0; i < q.size(); ++i) q[i].save(s);
   }
   for (const auto& q : fabric_q_) {
     s.u32(static_cast<std::uint32_t>(q.size()));
-    for (const auto& [id, p] : q) {
-      s.u64(id);
-      p.save(s);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      s.u64(q[i].first);
+      q[i].second.save(s);
     }
   }
 }
@@ -93,9 +99,10 @@ void FastNetwork::self_deliver_event(void* ctx, std::uint64_t src64,
   const auto src = static_cast<ProcId>(src64);
   auto& q = self->self_q_[src];
   EMX_DCHECK(!q.empty(), "self delivery without a queued packet");
-  const Packet packet = q.front();
+  // Delivery never injects synchronously (packets leave through the OBU's
+  // scheduled release), so the front slot stays put until it is popped.
+  self->deliver(q.front());
   q.pop_front();
-  self->deliver(packet);
 }
 
 void FastNetwork::fabric_deliver_event(void* ctx, std::uint64_t id,
@@ -105,9 +112,8 @@ void FastNetwork::fabric_deliver_event(void* ctx, std::uint64_t id,
   auto& q = self->fabric_q_[dst];
   EMX_DCHECK(!q.empty() && q.front().first == id,
              "fabric delivery out of id order");
-  const Packet packet = q.front().second;
+  self->deliver(q.front().second);
   q.pop_front();
-  self->deliver(packet);
 }
 
 }  // namespace emx::net

@@ -7,7 +7,9 @@
 // shuffle fabric); tests validate agreement with OmegaNetwork.
 // For power-of-two P the per-pair hop count matches the detailed
 // shortest-path shuffle routing exactly; for other counts (the 80-PE
-// prototype included) hops = ceil(log2 P).
+// prototype included) hops = ceil(log2 P). Both are precomputed into a
+// P x P byte table at construction (64 KiB at P=256), so a packet's
+// route costs one load.
 //
 // In-flight packets live in canonical queues rather than a pool: per-src
 // self-loop FIFOs and per-dst fabric queues keyed by a monotonically
@@ -17,12 +19,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
+#include <utility>
 #include <vector>
 
+#include "common/ring_buffer.hpp"
 #include "network/network_iface.hpp"
-#include "network/routing.hpp"
 
 namespace emx::net {
 
@@ -33,8 +34,8 @@ class FastNetwork final : public Network {
 
   void inject(const Packet& packet) override;
   unsigned hop_count(ProcId src, ProcId dst) const override {
-    if (src == dst) return 0;
-    return routing_ ? routing_->hop_count(src, dst) : hops_;
+    EMX_DCHECK(src < proc_count_ && dst < proc_count_, "proc id out of range");
+    return hops_[std::size_t{src} * proc_count_ + dst];
   }
   std::string name() const override { return "omega-fast"; }
 
@@ -46,8 +47,8 @@ class FastNetwork final : public Network {
                                    std::uint64_t dst);
 
   sim::SimContext& sim_;
-  unsigned hops_;
-  std::optional<ShuffleRouting> routing_;
+  std::uint32_t proc_count_;
+  std::vector<std::uint8_t> hops_;  ///< hop_count(src, dst) at src * P + dst
   Cycle self_latency_;
   Cycle port_interval_;
   std::vector<Cycle> inject_free_;  ///< per-src injection port next-free
@@ -55,11 +56,11 @@ class FastNetwork final : public Network {
 
   /// Pending self-loop packets per source PE, injection order (equal
   /// latency makes delivery order = injection order).
-  std::vector<std::deque<Packet>> self_q_;
+  std::vector<RingQueue<Packet>> self_q_;
   /// Pending fabric packets per destination PE with their canonical
   /// injection ids; arrivals are strictly increasing per destination, so
   /// deliveries pop the front.
-  std::vector<std::deque<std::pair<std::uint64_t, Packet>>> fabric_q_;
+  std::vector<RingQueue<std::pair<std::uint64_t, Packet>>> fabric_q_;
   std::uint64_t next_fabric_id_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "network/routing.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace emx::net {
@@ -24,6 +26,23 @@ unsigned ShuffleRouting::overlap(ProcId src, ProcId dst) const {
 
 unsigned ShuffleRouting::hop_count(ProcId src, ProcId dst) const {
   return bits_ - overlap(src, dst);
+}
+
+std::vector<std::uint8_t> ShuffleRouting::hop_table() const {
+  // Filled by overlap ranges, not P*P overlap() calls: the dsts whose
+  // high o bits equal src's low o bits are one aligned block of P >> o
+  // ids. Writing o in ascending order leaves each dst with its longest
+  // overlap, so the entry is bits - overlap(src, dst).
+  std::vector<std::uint8_t> table(std::size_t{proc_count_} * proc_count_);
+  for (ProcId src = 0; src < proc_count_; ++src) {
+    std::uint8_t* row = table.data() + std::size_t{src} * proc_count_;
+    for (unsigned o = 0; o <= bits_; ++o) {
+      const std::uint32_t low = src & ((std::uint32_t{1} << o) - 1);
+      std::fill_n(row + (low << (bits_ - o)), proc_count_ >> o,
+                  static_cast<std::uint8_t>(bits_ - o));
+    }
+  }
+  return table;
 }
 
 ProcId ShuffleRouting::node_at_hop(ProcId src, ProcId dst, unsigned hop) const {

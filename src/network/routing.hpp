@@ -37,6 +37,9 @@ class ShuffleRouting {
   /// (zero for self-sends, which never enter the network fabric).
   unsigned hop_count(ProcId src, ProcId dst) const;
 
+  /// hop_count() for every pair, row-major by src (P*P bytes).
+  std::vector<std::uint8_t> hop_table() const;
+
   /// The switch a packet sits at after `hop` hops of its route (hop 0 is
   /// the source's own switch box).
   ProcId node_at_hop(ProcId src, ProcId dst, unsigned hop) const;

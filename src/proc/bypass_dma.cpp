@@ -39,11 +39,12 @@ void BypassDma::service_event(void* ctx, std::uint64_t idx64, std::uint64_t) {
   auto idx = static_cast<std::uint32_t>(idx64);
   Job& job = self->pool_[idx];
   EMX_DCHECK(job.in_use, "DMA releasing freed job");
-  const net::Packet reply = job.packet;
+  // send() copies the packet and never re-enters this DMA, so the slot
+  // can be handed over by reference and freed afterwards.
+  self->obu_.send(job.packet);
   job.in_use = false;
   job.next_free = self->free_head_;
   self->free_head_ = idx;
-  self->obu_.send(reply);
 }
 
 void BypassDma::resend_resume(const net::Packet& req) {

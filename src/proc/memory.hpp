@@ -5,9 +5,10 @@
 // The words live in 4 KiB pages that all share one static zero page
 // until their first write, so a machine costs host memory for what its
 // programs touch, not for what the EMC-Y could hold. Each page caches
-// its CRC and a dirty byte; save() re-hashes only the pages written
-// since the previous save and folds the page CRCs into the digest of
-// the whole memory.
+// its CRC and a dirty byte, and the memory keeps the CRC of all its
+// words: save() re-hashes only the pages written since the previous
+// save and patches that digest with each page's change, so a save costs
+// what was written since the last one — nothing at all when no page was.
 #pragma once
 
 #include <algorithm>
@@ -84,24 +85,32 @@ class Memory {
   /// PE a full image would dominate the checkpoint, and the
   /// restore-by-replay design only needs to *verify* memory, for which
   /// the digest is as strong a witness as the bytes. The CRC is the
-  /// flat crc32 of every word, folded from the cached page CRCs.
+  /// flat crc32 of every word, kept current from the dirty pages alone:
+  /// for equal-length inputs crc(a) ^ crc(b) is the unseeded CRC of
+  /// a ^ b, so a page whose CRC moved from c0 to c1 moves the digest by
+  /// (c0 ^ c1) shifted across the bytes after the page.
   void save(ser::Serializer& s) const {
-    static const std::uint32_t shift_page =
-        ser::crc32_combine_gen(kPageWords * sizeof(Word));
-    std::uint32_t crc = 0;
-    for (std::size_t p = 0; p < pages_.size(); ++p) {
-      Page& page = pages_[p];
-      const std::size_t bytes = page_words(p) * sizeof(Word);
-      if (page.dirty) {
-        page.crc = ser::crc32(view_[p], bytes);
+    if (!saved_) {  // deferred from construction: most runs never save
+      digest_ = zeroes_crc(size_ * sizeof(Word));
+      saved_ = true;
+    }
+    if (any_dirty_) {
+      for (std::size_t p = 0; p < pages_.size(); ++p) {
+        Page& page = pages_[p];
+        if (!page.dirty) continue;
         page.dirty = false;
+        const std::size_t end = p * kPageWords + page_words(p);
+        const std::uint32_t crc = ser::crc32(view_[p], page_words(p) * sizeof(Word));
+        if (crc == page.crc) continue;
+        digest_ = ser::crc32_combine_op(
+            crc ^ page.crc, digest_,
+            ser::crc32_combine_gen((size_ - end) * sizeof(Word)));
+        page.crc = crc;
       }
-      crc = bytes == kPageWords * sizeof(Word)
-                ? ser::crc32_combine_op(crc, page.crc, shift_page)
-                : ser::crc32_combine(crc, page.crc, bytes);
+      any_dirty_ = false;
     }
     s.u64(size_);
-    s.u32(crc);
+    s.u32(digest_);
   }
 
  private:
@@ -112,6 +121,13 @@ class Memory {
   };
 
   static constexpr Word kZeroPage[kPageWords] = {};
+
+  /// crc32 of `bytes` zero bytes without reading them: the register
+  /// starts at ~0 and each zero byte multiplies it by x^8.
+  static std::uint32_t zeroes_crc(std::size_t bytes) {
+    return ser::crc32_combine_op(0xFFFFFFFFu, 0xFFFFFFFFu,
+                                 ser::crc32_combine_gen(bytes));
+  }
 
   static std::uint32_t zero_page_crc() {
     static const std::uint32_t crc = ser::crc32(kZeroPage, sizeof kZeroPage);
@@ -132,6 +148,7 @@ class Memory {
         view_[p] = page.words.get();
       }
       page.dirty = true;
+      any_dirty_ = true;
     }
     return page.words.get();
   }
@@ -139,6 +156,9 @@ class Memory {
   std::size_t size_;
   std::vector<const Word*> view_;  ///< read path: owned page or kZeroPage
   mutable std::vector<Page> pages_;
+  mutable std::uint32_t digest_ = 0;  ///< crc32 of every word as of the last save
+  mutable bool saved_ = false;        ///< digest_ holds a value
+  mutable bool any_dirty_ = false;    ///< some page written since the last save
   WriteProbe probe_ = nullptr;
   void* probe_ctx_ = nullptr;
 };

@@ -38,11 +38,12 @@ void OutputBufferUnit::release_event(void* ctx, std::uint64_t idx64, std::uint64
   auto idx = static_cast<std::uint32_t>(idx64);
   Outgoing& rec = self->pool_[idx];
   EMX_DCHECK(rec.in_use, "OBU releasing freed slot");
-  const net::Packet packet = rec.packet;
+  // inject() copies the packet and never re-enters this OBU, so the slot
+  // can be handed over by reference and freed afterwards.
+  self->network_.inject(rec.packet);
   rec.in_use = false;
   rec.next_free = self->free_head_;
   self->free_head_ = idx;
-  self->network_.inject(packet);
 }
 
 }  // namespace emx::proc

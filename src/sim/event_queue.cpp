@@ -31,26 +31,22 @@ void* EventFnTable::ctx_of(std::uint32_t id) const {
   return entries_[id - 1].ctx;
 }
 
-void EventQueue::insert(const Event& ev) {
+void EventQueue::insert_slow(const Event& ev) {
   // top() advances the cursor across event-free gaps; a push back into
   // such a gap (run_until / paused runs — never the dispatch hot loop,
   // where the cursor always sits at the last popped event's cycle) pulls
   // the wheel back to the new event's cycle.
   if (ev.time < cursor_) rehome(ev.time);
   if (ev.time < cursor_ + kWheelBuckets) {
+    // Direct pushes arrive in seq order (seq is monotonic in push time)
+    // and append in insert(). Only far-heap migration can deliver an
+    // out-of-order seq, and it inserts at the right spot.
     Bucket& b = wheel_[ev.time & (kWheelBuckets - 1)];
-    // Direct pushes arrive in seq order (seq is monotonic in push time),
-    // so append keeps the bucket sorted. Only far-heap migration can
-    // deliver an out-of-order seq, and it inserts at the right spot.
-    if (b.events.empty() || b.events.back().seq < ev.seq) {
-      b.events.push_back(ev);
-    } else {
-      const auto at = std::lower_bound(
-          b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
-          b.events.end(), ev,
-          [](const Event& x, const Event& y) { return x.seq < y.seq; });
-      b.events.insert(at, ev);
-    }
+    const auto at = std::lower_bound(
+        b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
+        b.events.end(), ev,
+        [](const Event& x, const Event& y) { return x.seq < y.seq; });
+    b.events.insert(at, ev);
     ++wheel_records_;
   } else {
     far_.push_back(ev);
@@ -76,18 +72,6 @@ void EventQueue::rehome(Cycle new_cursor) {
   for (const Event& ev : pending) insert(ev);
 }
 
-std::uint64_t EventQueue::push(Cycle time, EventFn fn, void* ctx,
-                               std::uint64_t a, std::uint64_t b) {
-  EMX_DCHECK(fn != nullptr, "event without handler");
-  const std::uint64_t id = next_seq_++;
-  // An empty queue lets the cursor jump straight to the new event's
-  // cycle — the wheel never scans across a gap no event occupies.
-  if (records_ == 0) cursor_ = time;
-  insert(Event{time, id, fn, ctx, a, b});
-  ++records_;
-  return id;
-}
-
 void EventQueue::cancel(std::uint64_t id) {
   const std::size_t w = static_cast<std::size_t>(id >> 6);
   if (w >= tomb_bits_.size()) tomb_bits_.resize(w + 1, 0);
@@ -104,8 +88,7 @@ void EventQueue::migrate_due() {
   }
 }
 
-Event& EventQueue::peek_live() {
-  EMX_DCHECK(!empty(), "peek into empty event queue");
+Event& EventQueue::advance() {
   for (;;) {
     if (wheel_records_ == 0) {
       // Nothing within the horizon: jump the cursor to the far heap's
@@ -131,23 +114,6 @@ Event& EventQueue::peek_live() {
     ++cursor_;
     migrate_due();
   }
-}
-
-const Event& EventQueue::top() const {
-  // The cursor advance only discards records that could never be
-  // observed (consumed buckets, tombstones), so logical const-ness holds
-  // even though the storage mutates.
-  return const_cast<EventQueue*>(this)->peek_live();
-}
-
-Event EventQueue::pop() {
-  Event& ev = peek_live();
-  const Event out = ev;
-  Bucket& b = wheel_[out.time & (kWheelBuckets - 1)];
-  ++b.head;
-  --records_;
-  --wheel_records_;
-  return out;
 }
 
 void EventQueue::clear() {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/serializer.hpp"
 #include "common/types.hpp"
 
@@ -86,7 +87,16 @@ class EventQueue {
 
   /// Returns the event's id, usable with cancel().
   std::uint64_t push(Cycle time, EventFn fn, void* ctx, std::uint64_t a,
-                     std::uint64_t b);
+                     std::uint64_t b) {
+    EMX_DCHECK(fn != nullptr, "event without handler");
+    const std::uint64_t id = next_seq_++;
+    // An empty queue lets the cursor jump straight to the new event's
+    // cycle — the wheel never scans across a gap no event occupies.
+    if (records_ == 0) cursor_ = time;
+    insert(Event{time, id, fn, ctx, a, b});
+    ++records_;
+    return id;
+  }
 
   /// Marks a scheduled-but-not-yet-fired event as dead: one bit set in a
   /// bitmap indexed by event id (memory cost: 1 bit per event ever
@@ -94,9 +104,20 @@ class EventQueue {
   /// event must still be in the queue; cancelling twice is a no-op.
   void cancel(std::uint64_t id);
 
-  /// Requires !empty(); skips over cancelled records.
-  const Event& top() const;
-  Event pop();
+  /// Requires !empty(); skips over cancelled records. The cursor advance
+  /// only discards records that could never be observed (consumed
+  /// buckets, tombstones), so logical const-ness holds even though the
+  /// storage mutates.
+  const Event& top() const { return const_cast<EventQueue*>(this)->peek_live(); }
+
+  Event pop() {
+    Event& ev = peek_live();
+    const Event out = ev;
+    ++wheel_[out.time & (kWheelBuckets - 1)].head;
+    --records_;
+    --wheel_records_;
+    return out;
+  }
 
   void clear();
 
@@ -134,8 +155,20 @@ class EventQueue {
 
   /// Routes a record to its wheel bucket or the far heap, lowering the
   /// cursor first if the record's cycle is below it. Caller maintains
-  /// records_.
-  void insert(const Event& ev);
+  /// records_. Inline for the common case, an in-horizon record that
+  /// sorts last in its bucket; insert_slow() handles the rest.
+  void insert(const Event& ev) {
+    if (ev.time >= cursor_ && ev.time < cursor_ + kWheelBuckets) {
+      Bucket& b = wheel_[ev.time & (kWheelBuckets - 1)];
+      if (b.events.empty() || b.events.back().seq < ev.seq) {
+        b.events.push_back(ev);
+        ++wheel_records_;
+        return;
+      }
+    }
+    insert_slow(ev);
+  }
+  void insert_slow(const Event& ev);
   /// Pulls the cursor back to `new_cursor` and re-homes every stored
   /// wheel record against the shifted window.
   void rehome(Cycle new_cursor);
@@ -143,8 +176,17 @@ class EventQueue {
   /// their buckets (seq-sorted insert among direct-pushed records).
   void migrate_due();
   /// Advances the cursor (discarding tombstoned records) to the next
-  /// live event and returns it. Requires !empty().
-  Event& peek_live();
+  /// live event and returns it. Requires !empty(). Inline when the
+  /// cursor's bucket already holds it; advance() does the walking.
+  Event& peek_live() {
+    EMX_DCHECK(!empty(), "peek into empty event queue");
+    Bucket& b = wheel_[cursor_ & (kWheelBuckets - 1)];
+    if (b.head < b.events.size() &&
+        (tomb_live_ == 0 || !tombstoned(b.events[b.head].seq)))
+      return b.events[b.head];
+    return advance();
+  }
+  Event& advance();
 
   void far_sift_up(std::size_t i);
   void far_sift_down(std::size_t i);

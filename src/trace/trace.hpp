@@ -78,38 +78,42 @@ class VectorTraceSink final : public TraceSink {
 /// The "trace" component (when installed as the machine's sink): its
 /// snapshot section pins the digest of every event emitted so far, so a
 /// resumed run must re-emit the identical trace prefix.
+///
+/// Each event is encoded as a 25-byte little-endian record (cycle, proc,
+/// thread, type, info) into a ~4 KiB block, and the block is CRC'd when
+/// it fills: CRC-32 chains over concatenation, so the digest equals one
+/// CRC per record while the kernel sees long inputs. crc() and save()
+/// hash the partial block first, so every read sees every event.
 class DigestSink final : public TraceSink, public Component {
  public:
+  static constexpr std::size_t kRecordBytes = 25;
+  /// 164 records: 4100 bytes, whose quarter lanes are 1024 bytes.
+  static constexpr std::size_t kBlockBytes = 164 * kRecordBytes;
+
   explicit DigestSink(TraceSink* next = nullptr) : next_(next) {}
 
   void on_event(const TraceEvent& event) override {
-    // One contiguous buffer, one CRC call: identical digest to folding
-    // the fields separately (CRC-32 chains over concatenation), but the
-    // slice-by-8 kernel sees 30 bytes at once instead of 22 + 8.
-    std::uint8_t buf[30];
-    std::size_t n = 0;
-    auto put64 = [&](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) buf[n++] = static_cast<std::uint8_t>(v >> (8 * i));
-    };
-    auto put32 = [&](std::uint32_t v) {
-      for (int i = 0; i < 4; ++i) buf[n++] = static_cast<std::uint8_t>(v >> (8 * i));
-    };
-    put64(event.cycle);
-    put32(event.proc);
-    put32(event.thread);
-    buf[n++] = static_cast<std::uint8_t>(event.type);
-    put64(event.info);
-    crc_ = snapshot::crc32(buf, n, crc_);
+    std::uint8_t* r = block_ + fill_;
+    put_le(r, event.cycle, 8);
+    put_le(r + 8, event.proc, 4);
+    put_le(r + 12, event.thread, 4);
+    r[16] = static_cast<std::uint8_t>(event.type);
+    put_le(r + 17, event.info, 8);
+    fill_ += kRecordBytes;
+    if (fill_ == kBlockBytes) flush();
     ++count_;
     if (next_ != nullptr) next_->on_event(event);
   }
 
   std::uint64_t count() const { return count_; }
-  std::uint32_t crc() const { return crc_; }
+  std::uint32_t crc() const {
+    flush();
+    return crc_;
+  }
 
   void save(snapshot::Serializer& s) const {
     s.u64(count_);
-    s.u32(crc_);
+    s.u32(crc());
   }
 
   // --- Component ---
@@ -117,9 +121,22 @@ class DigestSink final : public TraceSink, public Component {
   void save_state(ser::Serializer& s) const override { save(s); }
 
  private:
+  static void put_le(std::uint8_t* out, std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
+  /// Hashes the buffered records into crc_; the digest is unchanged by
+  /// when this runs, so const readers may call it.
+  void flush() const {
+    crc_ = snapshot::crc32(block_, fill_, crc_);
+    fill_ = 0;
+  }
+
   TraceSink* next_;
   std::uint64_t count_ = 0;
-  std::uint32_t crc_ = 0;
+  mutable std::uint32_t crc_ = 0;
+  mutable std::size_t fill_ = 0;
+  mutable std::uint8_t block_[kBlockBytes] = {};
 };
 
 }  // namespace emx::trace

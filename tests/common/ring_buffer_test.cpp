@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+
+#include "common/rng.hpp"
+
 namespace emx {
 namespace {
 
@@ -66,6 +71,61 @@ TEST(SpillingFifo, RestoresFromSpillAfterDrain) {
   EXPECT_EQ(fifo.pop(), 3);
   EXPECT_EQ(fifo.pop(), 4);
   EXPECT_EQ(fifo.pop(), 100);
+}
+
+TEST(RingQueue, WrapsAndGrowsInFifoOrder) {
+  RingQueue<int> q;
+  EXPECT_TRUE(q.empty());
+  int next_push = 0;
+  int next_pop = 0;
+  // Keep the head moving so later growth happens with a wrapped ring.
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 3; ++i) q.push_back(next_push++);
+    EXPECT_EQ(q.front(), next_pop);
+    q.pop_front();
+    ++next_pop;
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(next_push - next_pop));
+    for (std::size_t i = 0; i < q.size(); ++i)
+      ASSERT_EQ(q[i], next_pop + static_cast<int>(i));
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(q.front(), next_pop++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_pop, next_push);
+}
+
+TEST(RingQueue, IterationOrderMatchesADeque) {
+  // Snapshots walk the in-flight queues front to back; the ring must
+  // hand them out in exactly the order std::deque did.
+  RingQueue<std::uint64_t> q;
+  std::deque<std::uint64_t> model;
+  Rng rng(0xF1F0u);
+  for (int step = 0; step < 5000; ++step) {
+    if (model.empty() || rng.bounded(5) < 3) {
+      const std::uint64_t v = rng.next_u64();
+      q.push_back(v);
+      model.push_back(v);
+    } else {
+      ASSERT_EQ(q.front(), model.front());
+      q.pop_front();
+      model.pop_front();
+    }
+    ASSERT_EQ(q.size(), model.size());
+    if (step % 97 == 0)
+      for (std::size_t i = 0; i < model.size(); ++i) ASSERT_EQ(q[i], model[i]);
+  }
+}
+
+TEST(SpillingFifo, AtWalksOnChipThenSpillInFifoOrder) {
+  SpillingFifo<int> fifo(4);
+  for (int i = 0; i < 11; ++i) fifo.push(i);
+  EXPECT_EQ(fifo.pop(), 0);
+  EXPECT_EQ(fifo.pop(), 1);
+  for (int i = 11; i < 14; ++i) fifo.push(i);
+  ASSERT_EQ(fifo.size(), 12u);
+  for (std::size_t i = 0; i < fifo.size(); ++i)
+    EXPECT_EQ(fifo.at(i), static_cast<int>(i) + 2);
 }
 
 }  // namespace

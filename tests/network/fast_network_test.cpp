@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "network/omega_network.hpp"
+#include "network/routing.hpp"
 #include "sim/sim_context.hpp"
 
 namespace emx::net {
@@ -59,6 +60,28 @@ TEST(FastNetwork, AcceptsNonPowerOfTwoProcessorCounts) {
   sim.run_until_idle();
   ASSERT_EQ(c.times.size(), 1u);
   EXPECT_EQ(c.times[0], 8u);  // 7 hops + 1
+}
+
+TEST(FastNetwork, HopTableMatchesShuffleRouting) {
+  // Every pair at every power-of-two P up to 256 (the table's 64 KiB).
+  for (std::uint32_t P = 1; P <= 256; P *= 2) {
+    sim::SimContext sim;
+    const FastNetwork net(sim, P);
+    const ShuffleRouting routing(P);
+    for (ProcId src = 0; src < P; ++src)
+      for (ProcId dst = 0; dst < P; ++dst)
+        ASSERT_EQ(net.hop_count(src, dst), routing.hop_count(src, dst))
+            << "P=" << P << " " << src << "->" << dst;
+  }
+}
+
+TEST(FastNetwork, HopTableIsCeilLog2OffPowerOfTwo) {
+  sim::SimContext sim;
+  const FastNetwork net(sim, 80);
+  for (ProcId src = 0; src < 80; ++src)
+    for (ProcId dst = 0; dst < 80; ++dst)
+      ASSERT_EQ(net.hop_count(src, dst), src == dst ? 0u : 7u)
+          << src << "->" << dst;
 }
 
 TEST(FastNetwork, EjectionPortSerialisesArrivals) {

@@ -105,6 +105,41 @@ TEST(Crc32, CombineEqualsTheCrcOfTheConcatenation) {
   }
 }
 
+// Bit-at-a-time CRC-32: the definition, with no tables and no lanes.
+std::uint32_t bitwise_crc32(const std::uint8_t* p, std::size_t n,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, LanesEqualTheBitwiseDefinition) {
+  Rng rng(0x1A9E5u);
+  std::vector<std::uint8_t> buf(4 * ser::kCrcLaneMin + 64);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  // Lengths around the lane threshold and around four times it (where
+  // each lane is one threshold long), short ones and a long one.
+  std::vector<std::size_t> lengths = {0, 1, 7, 8, 25, 4 * ser::kCrcLaneMin};
+  for (std::size_t d = 0; d <= 40; ++d) {
+    lengths.push_back(ser::kCrcLaneMin - 20 + d);
+    lengths.push_back(4 * ser::kCrcLaneMin - 20 + d);
+  }
+  for (const std::size_t len : lengths) {
+    // Every alignment of the start pointer, and seeds other than zero.
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+        ASSERT_LE(offset + len, buf.size());
+        const std::uint8_t* p = buf.data() + offset;
+        ASSERT_EQ(crc32(p, len, seed), bitwise_crc32(p, len, seed))
+            << "len " << len << " offset " << offset << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(SnapshotFormat, EncodeDecodeRoundTrip) {
   SnapshotFile file;
   file.kind = FileKind::kCheckpoint;
