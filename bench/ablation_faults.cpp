@@ -18,15 +18,26 @@
 using namespace emx;
 using namespace emx::bench;
 
+namespace {
+
+/// The one table knob this bench takes: the fault plan's RNG seed.
+bool is_fault_seed(const snapshot::Knob& k) {
+  snapshot::RunManifest m;
+  return k.field(m) == snapshot::Knob::Field(&m.config.fault.seed);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   CliFlags flags;
   flags.define("procs", "16", "processor count")
       .define("size-per-proc", "512", "elements per processor")
       .define("threads", "1,2,4,8", "thread counts to sweep")
       .define("drop-rates", "0,2,5,10", "drop rates to sweep, permille")
-      .define("timeout", "4096", "read retransmit timeout, cycles")
-      .define("fault-seed", "1026839", "fault plan RNG seed")
+      .define("timeout", std::to_string(fault::FaultConfig{}.timeout_cycles),
+              "read retransmit timeout, cycles")
       .define("csv", "false", "emit CSV");
+  snapshot::define_flags(flags, snapshot::RunManifest{}, is_fault_seed);
   flags.parse(argc, argv);
 
   const auto procs = static_cast<std::uint32_t>(flags.integer("procs"));
@@ -37,10 +48,9 @@ int main(int argc, char** argv) {
   std::printf("P=%u n=%s timeout=%lld\n", procs, size_label(n).c_str(),
               static_cast<long long>(flags.integer("timeout")));
 
-  MachineConfig base;
+  MachineConfig base = knob_machine(flags, is_fault_seed);
   base.proc_count = procs;
   base.fault.timeout_cycles = static_cast<Cycle>(flags.integer("timeout"));
-  base.fault.seed = static_cast<std::uint64_t>(flags.integer("fault-seed"));
 
   for (auto rate_pm : flags.int_list("drop-rates")) {
     MachineConfig cfg = base;

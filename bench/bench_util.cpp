@@ -1,6 +1,7 @@
 #include "bench_util.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "apps/bitonic.hpp"
 #include "apps/fft.hpp"
@@ -28,6 +29,14 @@ std::vector<std::uint64_t> FigureOptions::sizes_for(std::uint32_t procs) const {
   return out;
 }
 
+namespace {
+
+/// The figure benches expose the machine's two-way choices: network
+/// model, barrier topology and read service.
+bool is_choice(const snapshot::Knob& k) { return k.is_choice(); }
+
+}  // namespace
+
 void define_figure_flags(CliFlags& flags) {
   flags.define("threads", "1,2,3,4,8,16", "thread counts h to sweep")
       .define("sizes-per-proc", "256,1024,4096",
@@ -36,10 +45,8 @@ void define_figure_flags(CliFlags& flags) {
               "paper-scale sizes: n/P in {8K,16K,32K,64K,128K} (slow)")
       .define("csv", "false", "emit CSV instead of aligned text")
       .define("metric", "idle",
-              "communication-time metric: idle | wall (total-compute-overhead)")
-      .define("network", "fast", "network model: fast | detailed")
-      .define("barrier", "central", "iteration barrier: central | tree")
-      .define("read-service", "bypass", "read servicing: bypass | em4");
+              "communication-time metric: idle | wall (total-compute-overhead)");
+  snapshot::define_flags(flags, snapshot::RunManifest{}, is_choice);
 }
 
 FigureOptions figure_options(const CliFlags& flags) {
@@ -57,19 +64,19 @@ FigureOptions figure_options(const CliFlags& flags) {
   const std::string metric = flags.str("metric");
   EMX_CHECK(metric == "idle" || metric == "wall", "bad --metric value");
   opt.metric = metric == "idle" ? CommMetric::kIdle : CommMetric::kWallMinusWork;
-  const std::string net = flags.str("network");
-  EMX_CHECK(net == "fast" || net == "detailed", "bad --network value");
-  opt.base.network =
-      net == "fast" ? NetworkModel::kFast : NetworkModel::kDetailed;
-  const std::string bar = flags.str("barrier");
-  EMX_CHECK(bar == "central" || bar == "tree", "bad --barrier value");
-  opt.base.barrier =
-      bar == "central" ? BarrierTopology::kCentral : BarrierTopology::kTree;
-  const std::string rs = flags.str("read-service");
-  EMX_CHECK(rs == "bypass" || rs == "em4", "bad --read-service value");
-  opt.base.read_service =
-      rs == "bypass" ? ReadServiceMode::kBypassDma : ReadServiceMode::kExuThread;
+  opt.base = knob_machine(flags, is_choice);
   return opt;
+}
+
+MachineConfig knob_machine(const CliFlags& flags,
+                           bool (*pick)(const snapshot::Knob&)) {
+  snapshot::RunManifest m;
+  const std::string err = snapshot::apply_flags(flags, m, false, pick);
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    std::exit(2);
+  }
+  return m.config;
 }
 
 MachineReport run_sort(const MachineConfig& base, std::uint64_t n,

@@ -14,6 +14,7 @@
 #include "common/table.hpp"
 #include "core/config.hpp"
 #include "core/instrumentation.hpp"
+#include "snapshot/knobs.hpp"
 
 namespace emx::bench {
 
@@ -45,6 +46,11 @@ void define_figure_flags(CliFlags& flags);
 
 /// Builds options from parsed flags.
 FigureOptions figure_options(const CliFlags& flags);
+
+/// A default machine with the knob-table flags `pick` accepts applied
+/// (snapshot::define_flags defined them); a refused value exits 2.
+MachineConfig knob_machine(const CliFlags& flags,
+                           bool (*pick)(const snapshot::Knob&));
 
 /// Runs multithreaded bitonic sorting; panics if the result is unsorted.
 MachineReport run_sort(const MachineConfig& base, std::uint64_t n,

@@ -168,3 +168,32 @@ if [[ -n "$violations" ]]; then
   exit 1
 fi
 echo "layering OK: serve/ sees only common/ + jobs/ + snapshot/ + workloads/, and src/ does not see serve/"
+
+# One knob table: the run-recipe knobs are named in src/snapshot/knobs.*
+# and nowhere else in src/, tools/ or bench/. A second place that spells
+# a knob's name as a string literal is a second copy of its vocabulary —
+# walk the table (snapshot::knobs(), define_flags, apply_flags) instead.
+# The names are read from the table itself: the hyphenated ones of every
+# non-coordinate knob, plus the emx_run-only kFaultOutageFlag. The
+# coordinates (app, procs, size-per-proc, threads, seed) are grid axes
+# that benches and emx_client define as their own flags, and one-word
+# names such as "network" or "check" are ordinary words elsewhere.
+knob_names=$( (grep -oE '^[[:space:]]*\{"[a-z]+(-[a-z]+)+", R::k(Pinned|Knob)' \
+                 src/snapshot/knobs.cpp
+               grep -oE 'kFaultOutageFlag = "[a-z-]+"' src/snapshot/knobs.hpp) \
+             | grep -oE '"[a-z-]+"' | sort -u)
+if [[ $(wc -l <<<"$knob_names") -lt 10 ]]; then
+  echo "layering check broken: found too few knob names in src/snapshot/knobs.*"
+  exit 1
+fi
+knob_pattern=$(paste -sd'|' <<<"$knob_names")
+violations=$(grep -rnE "$knob_pattern" src tools bench \
+  | grep -vE '^src/snapshot/knobs\.(hpp|cpp):' || true)
+if [[ -n "$violations" ]]; then
+  echo "layering violation: knob names may be spelled only in the knob"
+  echo "table (src/snapshot/knobs.{hpp,cpp}):"
+  echo
+  echo "$violations"
+  exit 1
+fi
+echo "layering OK: the $(wc -l <<<"$knob_names") hyphenated knob names are spelled only in the knob table"

@@ -10,7 +10,8 @@ CheckConfig CheckConfig::all() {
   return c;
 }
 
-CheckConfig CheckConfig::parse(const std::string& list) {
+bool CheckConfig::parse(const std::string& list, CheckConfig& out,
+                        std::string& err) {
   CheckConfig c;
   std::size_t pos = 0;
   while (pos <= list.size()) {
@@ -28,12 +29,21 @@ CheckConfig CheckConfig::parse(const std::string& list) {
     } else if (name == "all") {
       c = all();
     } else if (!name.empty() && name != "none") {
-      EMX_CHECK(false, "unknown checker '" + name +
-                           "' (expected memcheck|race|deadlock|lint|all|none)");
+      err = "unknown checker '" + name +
+            "' (expected memcheck|race|deadlock|lint|all|none)";
+      return false;
     }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
+  out = c;
+  return true;
+}
+
+CheckConfig CheckConfig::parse(const std::string& list) {
+  CheckConfig c;
+  std::string err;
+  EMX_CHECK(parse(list, c, err), err);
   return c;
 }
 

@@ -22,7 +22,11 @@ struct CheckConfig {
   static CheckConfig all();
 
   /// Parses a comma-separated list: "memcheck,race,deadlock,lint", the
-  /// shorthand "all", or "" / "none" (nothing). Unknown names panic.
+  /// shorthand "all", or "" / "none" (nothing). Returns false with `err`
+  /// naming the first unknown checker.
+  static bool parse(const std::string& list, CheckConfig& out,
+                    std::string& err);
+  /// As above for lists written in code; an unknown name panics.
   static CheckConfig parse(const std::string& list);
 
   /// "memcheck,race" — the enabled checkers, for banners and reports.

@@ -70,26 +70,47 @@ std::string CliFlags::str(const std::string& name) const { return get(name).valu
 
 std::int64_t CliFlags::integer(const std::string& name) const {
   const auto& v = get(name).value;
-  char* end = nullptr;
-  const long long r = std::strtoll(v.c_str(), &end, 0);
-  EMX_CHECK(end && *end == '\0' && !v.empty(), "flag --" + name + " is not an integer: " + v);
+  std::int64_t r = 0;
+  EMX_CHECK(to_integer(v, r), "flag --" + name + " is not an integer: " + v);
   return r;
 }
 
 double CliFlags::real(const std::string& name) const {
   const auto& v = get(name).value;
-  char* end = nullptr;
-  const double r = std::strtod(v.c_str(), &end);
-  EMX_CHECK(end && *end == '\0' && !v.empty(), "flag --" + name + " is not a number: " + v);
+  double r = 0;
+  EMX_CHECK(to_real(v, r), "flag --" + name + " is not a number: " + v);
   return r;
 }
 
 bool CliFlags::boolean(const std::string& name) const {
   const auto& v = get(name).value;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off" || v.empty()) return false;
-  EMX_CHECK(false, "flag --" + name + " is not a boolean: " + v);
-  return false;
+  bool r = false;
+  EMX_CHECK(to_boolean(v, r), "flag --" + name + " is not a boolean: " + v);
+  return r;
+}
+
+bool CliFlags::to_integer(const std::string& text, std::int64_t& out) {
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 0);
+  if (end == nullptr || *end != '\0' || text.empty()) return false;
+  out = v;
+  return true;
+}
+
+bool CliFlags::to_real(const std::string& text, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == nullptr || *end != '\0' || text.empty()) return false;
+  out = v;
+  return true;
+}
+
+bool CliFlags::to_boolean(const std::string& t, bool& out) {
+  const bool on = t == "true" || t == "1" || t == "yes" || t == "on";
+  if (!on && t != "false" && t != "0" && t != "no" && t != "off" && !t.empty())
+    return false;
+  out = on;
+  return true;
 }
 
 std::vector<std::int64_t> CliFlags::int_list(const std::string& name) const {

@@ -36,6 +36,14 @@ class CliFlags {
 
   std::string help_text(const std::string& program) const;
 
+  /// The readings integer(), real() and boolean() give a flag's text: a
+  /// whole strtoll base-0 number, a whole strtod number, true|1|yes|on
+  /// or false|0|no|off|"". On any other text they return false, without
+  /// aborting, and leave `out` as it was.
+  static bool to_integer(const std::string& text, std::int64_t& out);
+  static bool to_real(const std::string& text, double& out);
+  static bool to_boolean(const std::string& text, bool& out);
+
  private:
   struct Flag {
     std::string value;

@@ -6,16 +6,27 @@
 
 namespace emx {
 
+std::string MachineConfig::problem() const {
+  if (proc_count < 1) return "procs must be >= 1 (at least one processor)";
+  if (network == NetworkModel::kDetailed && !is_power_of_two(proc_count))
+    return "network=detailed (the Omega network) needs a power-of-two "
+           "procs, not " + std::to_string(proc_count);
+  if (memory_words < 1024) return "per-PE memory unrealistically small";
+  if (!(clock_hz > 0)) return "clock must be positive";
+  if (ibu_fifo_depth == 0 || obu_fifo_depth == 0)
+    return "FIFO depth must be positive";
+  if (packet_gen_cycles < 1) return "packet generation takes at least a cycle";
+  if (barrier_poll_interval < 1) return "poll-interval must be >= 1 cycle";
+  for (const auto& w : fault.outages)
+    if (w.pe >= proc_count)
+      return "fault-outage names pe " + std::to_string(w.pe) +
+             " but the machine has " + std::to_string(proc_count) + " PEs";
+  return fault.problem();
+}
+
 void MachineConfig::validate() const {
-  EMX_CHECK(proc_count >= 1, "need at least one processor");
-  EMX_CHECK(network != NetworkModel::kDetailed || is_power_of_two(proc_count),
-            "detailed Omega network requires power-of-two proc_count");
-  EMX_CHECK(memory_words >= 1024, "per-PE memory unrealistically small");
-  EMX_CHECK(clock_hz > 0, "clock must be positive");
-  EMX_CHECK(ibu_fifo_depth > 0 && obu_fifo_depth > 0, "FIFO depth must be positive");
-  EMX_CHECK(packet_gen_cycles >= 1, "packet generation takes at least a cycle");
-  EMX_CHECK(barrier_poll_interval >= 1, "poll interval must be positive");
-  fault.validate();
+  const std::string why = problem();
+  EMX_CHECK(why.empty(), why);
 }
 
 MachineConfig MachineConfig::paper_machine(std::uint32_t procs) {

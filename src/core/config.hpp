@@ -94,8 +94,12 @@ struct MachineConfig {
   /// 0 = disarmed.
   Cycle watchdog_cycles = 0;
 
-  /// Validates invariants (power-of-two P for detailed network, nonzero
-  /// sizes); panics with a clear message on violation.
+  /// "" when the machine can be built; otherwise the first broken
+  /// invariant (power-of-two P for the detailed network, nonzero sizes,
+  /// outage PEs inside the machine, then fault.problem()), named as its
+  /// emx_run flag where it has one.
+  std::string problem() const;
+  /// Panics with problem() when it is not "".
   void validate() const;
 
   std::string summary() const;

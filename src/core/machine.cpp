@@ -136,7 +136,6 @@ Machine::Machine(MachineConfig config, trace::TraceSink* sink)
 
   if (faulty_ != nullptr) {
     for (const auto& w : config_.fault.outages) {
-      EMX_CHECK(w.pe < config_.proc_count, "outage window names an unknown PE");
       sim_.schedule_at(w.begin, &Machine::outage_begin_event, this, w.pe, w.end);
       sim_.schedule_at(w.end, &Machine::outage_end_event, this, w.pe, 0);
     }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -44,6 +45,7 @@ struct StallWindow {
   ProcId dst = kAnyProc;
   Cycle begin = 0;
   Cycle end = 0;
+  bool operator==(const StallWindow&) const = default;
 };
 
 /// A scheduled (exact, probability-free) fault: hit the nth eligible
@@ -56,6 +58,7 @@ struct ScheduledFault {
   FaultKind kind = FaultKind::kDrop;
   bool filtered = false;
   net::PacketKind only = net::PacketKind::kRemoteReadReq;
+  bool operator==(const ScheduledFault&) const = default;
 };
 
 /// A transient fail-stop outage: processor `pe`'s NIC is dead during
@@ -67,6 +70,7 @@ struct OutageWindow {
   ProcId pe = 0;
   Cycle begin = 0;
   Cycle end = 0;
+  bool operator==(const OutageWindow&) const = default;
 };
 
 struct FaultConfig {
@@ -109,7 +113,10 @@ struct FaultConfig {
            !outages.empty();
   }
 
-  /// Panics on out-of-range rates or degenerate protocol knobs.
+  /// "" when the plan is usable; otherwise the first out-of-range rate
+  /// or degenerate protocol knob, named as its emx_run flag.
+  std::string problem() const;
+  /// Panics with problem() when it is not "".
   void validate() const;
 };
 

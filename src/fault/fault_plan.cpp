@@ -1,5 +1,7 @@
 #include "fault/fault_plan.hpp"
 
+#include <cstdio>
+
 #include "common/assert.hpp"
 
 namespace emx::fault {
@@ -22,26 +24,42 @@ const char* to_string(FaultKind kind) {
   return "?";
 }
 
-void FaultConfig::validate() const {
-  EMX_CHECK(drop_rate >= 0.0 && drop_rate <= 1.0, "drop rate out of [0,1]");
-  EMX_CHECK(duplicate_rate >= 0.0 && duplicate_rate <= 1.0,
-            "duplicate rate out of [0,1]");
-  EMX_CHECK(corrupt_rate >= 0.0 && corrupt_rate <= 1.0,
-            "corrupt rate out of [0,1]");
-  EMX_CHECK(drop_rate + duplicate_rate + corrupt_rate <= 1.0,
-            "lossy fault rates must sum to at most 1");
-  EMX_CHECK(timeout_cycles >= 1, "read timeout must be positive");
-  EMX_CHECK(backoff_mult >= 1, "backoff multiplier must be at least 1");
-  EMX_CHECK(max_retries >= 1, "need at least one retransmit attempt");
+std::string FaultConfig::problem() const {
+  char buf[96];
+  const auto bad_rate = [&buf](const char* fmt, double rate) {
+    if (rate >= 0.0 && rate <= 1.0) return false;
+    std::snprintf(buf, sizeof buf, fmt, rate);
+    return true;
+  };
+  if (bad_rate("fault-drop-rate=%g is out of [0,1]", drop_rate) ||
+      bad_rate("fault-dup-rate=%g is out of [0,1]", duplicate_rate) ||
+      bad_rate("fault-corrupt-rate=%g is out of [0,1]", corrupt_rate))
+    return buf;
+  if (drop_rate + duplicate_rate + corrupt_rate > 1.0) {
+    std::snprintf(buf, sizeof buf,
+                  "fault rates sum to %g; drop+dup+corrupt must not exceed 1",
+                  drop_rate + duplicate_rate + corrupt_rate);
+    return buf;
+  }
+  if (timeout_cycles < 1) return "fault-timeout must be >= 1 cycle";
+  if (backoff_mult < 1) return "backoff multiplier must be at least 1";
+  if (max_retries < 1) return "fault-max-retries must be >= 1 retransmit";
   for (const auto& w : stalls)
-    EMX_CHECK(w.end >= w.begin, "stall window ends before it begins");
+    if (w.end < w.begin) return "stall window ends before it begins";
   for (const auto& s : scheduled) {
-    EMX_CHECK(s.nth >= 1, "scheduled faults count packets from 1");
-    EMX_CHECK(!s.filtered || s.only != net::PacketKind::kLocalWake,
-              "local wakes never enter the fabric; cannot schedule faults on them");
+    if (s.nth < 1) return "scheduled faults count packets from 1";
+    if (s.filtered && s.only == net::PacketKind::kLocalWake)
+      return "local wakes never enter the fabric; cannot schedule faults "
+             "on them";
   }
   for (const auto& w : outages)
-    EMX_CHECK(w.end > w.begin, "outage window must span at least one cycle");
+    if (w.end <= w.begin) return "outage window must span at least one cycle";
+  return "";
+}
+
+void FaultConfig::validate() const {
+  const std::string why = problem();
+  EMX_CHECK(why.empty(), why);
 }
 
 std::uint32_t packet_checksum(const net::Packet& packet) {

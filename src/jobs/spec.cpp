@@ -1,65 +1,24 @@
 #include "jobs/spec.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "common/fsio.hpp"
 #include "common/json.hpp"
 #include "common/serializer.hpp"
+#include "snapshot/knobs.hpp"
 #include "workloads/registry.hpp"
 
 namespace emx::jobs {
 
 namespace {
 
+using snapshot::Knob;
+
 std::uint32_t manifest_crc(const snapshot::RunManifest& m) {
   ser::Serializer s;
   m.save(s);
   return s.crc();
-}
-
-std::string fmt_double(double v) {
-  char buf[40];
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-/// Copies every emx_run-flag-expressible field of `from` onto `onto`.
-/// Shared by the unexpressible-knob check (copy defaults onto a cell,
-/// expect a pure default manifest back) — keeping the field list in one
-/// place so worker_flags() and the check cannot drift apart.
-void copy_expressible(const snapshot::RunManifest& from,
-                      snapshot::RunManifest& onto) {
-  onto.app = from.app;
-  onto.size_per_proc = from.size_per_proc;
-  onto.threads = from.threads;
-  onto.iterations = from.iterations;
-  onto.seed = from.seed;
-  onto.block_reads = from.block_reads;
-  onto.local_phase = from.local_phase;
-  onto.config.proc_count = from.config.proc_count;
-  onto.config.network = from.config.network;
-  onto.config.read_service = from.config.read_service;
-  onto.config.barrier = from.config.barrier;
-  onto.config.priority_replies = from.config.priority_replies;
-  onto.config.switch_save_cycles = from.config.switch_save_cycles;
-  onto.config.dma_service_cycles = from.config.dma_service_cycles;
-  onto.config.dma_interval_cycles = from.config.dma_interval_cycles;
-  onto.config.barrier_poll_interval = from.config.barrier_poll_interval;
-  onto.config.watchdog_cycles = from.config.watchdog_cycles;
-  onto.config.fault.seed = from.config.fault.seed;
-  onto.config.fault.drop_rate = from.config.fault.drop_rate;
-  onto.config.fault.duplicate_rate = from.config.fault.duplicate_rate;
-  onto.config.fault.corrupt_rate = from.config.fault.corrupt_rate;
-  onto.config.fault.jitter_max_cycles = from.config.fault.jitter_max_cycles;
-  onto.config.fault.timeout_cycles = from.config.fault.timeout_cycles;
-  onto.config.fault.max_retries = from.config.fault.max_retries;
-  onto.config.fault.reliability = from.config.fault.reliability;
-  onto.config.check = from.config.check;
 }
 
 bool read_string_list(const json::Value& v, std::vector<std::string>& out,
@@ -97,117 +56,21 @@ bool read_uint_list(const json::Value& v, std::vector<T>& out,
   return true;
 }
 
-bool apply_base_knob(const std::string& key, const json::Value& v,
-                     snapshot::RunManifest& base, std::string& err) {
-  const auto want_string = [&](const char* a, const char* b,
-                               bool& matched_first) {
-    if (v.as_string() == a) {
-      matched_first = true;
-      return true;
-    }
-    if (v.as_string() == b) {
-      matched_first = false;
-      return true;
-    }
-    err = "base." + key + " must be \"" + a + "\" or \"" + b + "\"";
-    return false;
-  };
-  const auto want_uint = [&](std::uint64_t& onto) {
-    if (!v.is_int() || v.as_int() < 0) {
-      err = "base." + key + " must be a non-negative integer";
-      return false;
-    }
-    onto = static_cast<std::uint64_t>(v.as_int());
-    return true;
-  };
-  const auto want_rate = [&](double& onto) {
-    if (!v.is_number() || v.as_double() < 0 || v.as_double() > 1) {
-      err = "base." + key + " must be a number in 0..1";
-      return false;
-    }
-    onto = v.as_double();
-    return true;
-  };
-  const auto want_bool = [&](bool& onto) {
-    if (!v.is_bool()) {
-      err = "base." + key + " must be true or false";
-      return false;
-    }
-    onto = v.as_bool();
-    return true;
-  };
-
-  bool first = false;
-  std::uint64_t u = 0;
-  if (key == "network") {
-    if (!want_string("fast", "detailed", first)) return false;
-    base.config.network = first ? NetworkModel::kFast : NetworkModel::kDetailed;
-  } else if (key == "read-service") {
-    if (!want_string("bypass", "em4", first)) return false;
-    base.config.read_service =
-        first ? ReadServiceMode::kBypassDma : ReadServiceMode::kExuThread;
-  } else if (key == "barrier") {
-    if (!want_string("central", "tree", first)) return false;
-    base.config.barrier =
-        first ? BarrierTopology::kCentral : BarrierTopology::kTree;
-  } else if (key == "priority-replies") {
-    if (!want_bool(base.config.priority_replies)) return false;
-  } else if (key == "block-reads") {
-    if (!want_bool(base.block_reads)) return false;
-  } else if (key == "local-phase") {
-    if (!want_bool(base.local_phase)) return false;
-  } else if (key == "iterations") {
-    if (!want_uint(u)) return false;
-    base.iterations = static_cast<std::uint32_t>(u);
-  } else if (key == "switch-save") {
-    if (!want_uint(base.config.switch_save_cycles)) return false;
-  } else if (key == "dma-service") {
-    if (!want_uint(base.config.dma_service_cycles)) return false;
-  } else if (key == "dma-interval") {
-    if (!want_uint(base.config.dma_interval_cycles)) return false;
-  } else if (key == "poll-interval") {
-    if (!want_uint(base.config.barrier_poll_interval)) return false;
-  } else if (key == "watchdog") {
-    if (!want_uint(base.config.watchdog_cycles)) return false;
-  } else if (key == "fault-drop-rate") {
-    if (!want_rate(base.config.fault.drop_rate)) return false;
-  } else if (key == "fault-dup-rate") {
-    if (!want_rate(base.config.fault.duplicate_rate)) return false;
-  } else if (key == "fault-corrupt-rate") {
-    if (!want_rate(base.config.fault.corrupt_rate)) return false;
-  } else if (key == "fault-jitter-max") {
-    if (!want_uint(base.config.fault.jitter_max_cycles)) return false;
-  } else if (key == "fault-seed") {
-    if (!want_uint(base.config.fault.seed)) return false;
-  } else if (key == "fault-timeout") {
-    if (!want_uint(u) || u == 0) {
-      if (err.empty()) err = "base.fault-timeout must be >= 1";
-      return false;
-    }
-    base.config.fault.timeout_cycles = u;
-  } else if (key == "fault-max-retries") {
-    if (!want_uint(u) || u == 0) {
-      if (err.empty()) err = "base.fault-max-retries must be >= 1";
-      return false;
-    }
-    base.config.fault.max_retries = static_cast<std::uint32_t>(u);
-  } else if (key == "fault-reliability") {
-    if (!want_bool(base.config.fault.reliability)) return false;
-  } else {
-    err = "unknown base knob '" + key + "' (see docs/JOBS.md for the list)";
+/// Sets the knob keyed `key` of `m` from JSON. `where` ("base" or "run")
+/// names the object in errors; only a run object may set coordinates.
+bool set_knob(const std::string& where, const std::string& key,
+              const json::Value& v, snapshot::RunManifest& m,
+              std::string& err) {
+  const bool coordinates = where == "run";
+  const Knob* k = snapshot::find_knob(key);
+  if (k == nullptr || (!coordinates && k->role == Knob::Role::kCoordinate)) {
+    err = "unknown " + where + " knob '" + key + "' (" + where +
+          " knobs: " + snapshot::knob_names(coordinates) + ")";
     return false;
   }
-  return true;
-}
-
-bool run_uint(const json::Value& v, std::uint64_t& onto, std::string& err,
-               const char* what) {
-  if (!v.is_int() || v.as_int() < 0) {
-    err = std::string(what) + " must be a non-negative integer";
-    return false;
-  }
-  onto = static_cast<std::uint64_t>(v.as_int());
-  return true;
+  const std::string why = k->set(m, v);
+  if (!why.empty()) err = where + "." + key + " " + why;
+  return why.empty();
 }
 
 }  // namespace
@@ -221,49 +84,21 @@ bool parse_run(const json::Value& run, JobSpec& out, std::string& err) {
   // and the manifest-CRC key all come from the one proven code path.
   SweepSpec spec;
   spec.name = "serve";
-  spec.procs.clear();
-  spec.seeds.clear();
-  // emx_run flag parity (the same defaults emx_sweep's flag path sets),
-  // so a served run keys identically to the direct invocation.
-  spec.base.iterations = 8;
-  spec.base.seed = 1;
-  for (const auto& [key, v] : run.members()) {
-    std::uint64_t u = 0;
-    if (key == "app") {
-      if (!v.is_string() || v.as_string().empty()) {
-        err = "run.app must be a non-empty string";
-        return false;
-      }
-      spec.apps = {v.as_string()};
-    } else if (key == "procs") {
-      if (!run_uint(v, u, err, "run.procs")) return false;
-      spec.procs = {static_cast<std::uint32_t>(u)};
-    } else if (key == "threads") {
-      if (!run_uint(v, u, err, "run.threads")) return false;
-      spec.threads = {static_cast<std::uint32_t>(u)};
-    } else if (key == "size_per_proc") {
-      if (!run_uint(v, u, err, "run.size_per_proc")) return false;
-      spec.sizes_per_proc = {u};
-    } else if (key == "seed") {
-      if (!run_uint(v, u, err, "run.seed")) return false;
-      spec.seeds = {u};
-    } else {
-      if (!apply_base_knob(key, v, spec.base, err)) {
-        // The knob applier speaks sweep-spec ("base.x", "base knob");
-        // re-anchor the message to this protocol's field name.
-        if (err.rfind("base.", 0) == 0) err = "run." + err.substr(5);
-        if (err.rfind("unknown base knob", 0) == 0)
-          err = "unknown run knob" + err.substr(17);
-        return false;
-      }
-    }
-  }
-  if (spec.apps.empty()) {
+  spec.base = snapshot::default_recipe();
+  for (const auto& [key, v] : run.members())
+    if (!set_knob("run", key, v, spec.base, err)) return false;
+  const snapshot::RunManifest& m = spec.base;
+  if (m.app.empty()) {
     err = "run.app is required";
     return false;
   }
-  if (spec.procs.empty()) spec.procs = {16};
-  if (spec.seeds.empty()) spec.seeds = {1};
+  spec.apps = {m.app};
+  spec.procs = {m.config.proc_count};
+  spec.seeds = {m.seed};
+  // A set size or thread count is >= 1, so 0 means "not given": the
+  // app's registry default.
+  if (m.threads != 0) spec.threads = {m.threads};
+  if (m.size_per_proc != 0) spec.sizes_per_proc = {m.size_per_proc};
 
   std::vector<JobSpec> cells;
   if (!spec.expand(cells, err)) return false;
@@ -282,66 +117,18 @@ std::string job_key(const snapshot::RunManifest& m) {
 }
 
 std::vector<std::string> worker_flags(const snapshot::RunManifest& m) {
-  const snapshot::RunManifest d;  // emx_run's defaults (flag parity tested)
   std::vector<std::string> out;
-  const auto flag = [&out](const std::string& name, const std::string& v) {
-    out.push_back("--" + name + "=" + v);
-  };
-  flag("app", m.app);
-  flag("procs", std::to_string(m.config.proc_count));
-  flag("size-per-proc", std::to_string(m.size_per_proc));
-  flag("threads", std::to_string(m.threads));
-  flag("seed", std::to_string(m.seed));
-  flag("iterations", std::to_string(m.iterations));
-  if (m.block_reads != d.block_reads) flag("block-reads", "true");
-  if (m.local_phase != d.local_phase) flag("local-phase", "false");
-  if (m.config.network != d.config.network) flag("network", "detailed");
-  if (m.config.read_service != d.config.read_service)
-    flag("read-service", "em4");
-  if (m.config.barrier != d.config.barrier) flag("barrier", "tree");
-  if (m.config.priority_replies != d.config.priority_replies)
-    flag("priority-replies", "true");
-  if (m.config.switch_save_cycles != d.config.switch_save_cycles)
-    flag("switch-save", std::to_string(m.config.switch_save_cycles));
-  if (m.config.dma_service_cycles != d.config.dma_service_cycles)
-    flag("dma-service", std::to_string(m.config.dma_service_cycles));
-  if (m.config.dma_interval_cycles != d.config.dma_interval_cycles)
-    flag("dma-interval", std::to_string(m.config.dma_interval_cycles));
-  if (m.config.barrier_poll_interval != d.config.barrier_poll_interval)
-    flag("poll-interval", std::to_string(m.config.barrier_poll_interval));
-  if (m.config.watchdog_cycles != d.config.watchdog_cycles)
-    flag("watchdog", std::to_string(m.config.watchdog_cycles));
-  const auto& f = m.config.fault;
-  const auto& fd = d.config.fault;
-  if (f.drop_rate != fd.drop_rate)
-    flag("fault-drop-rate", fmt_double(f.drop_rate));
-  if (f.duplicate_rate != fd.duplicate_rate)
-    flag("fault-dup-rate", fmt_double(f.duplicate_rate));
-  if (f.corrupt_rate != fd.corrupt_rate)
-    flag("fault-corrupt-rate", fmt_double(f.corrupt_rate));
-  if (f.jitter_max_cycles != fd.jitter_max_cycles)
-    flag("fault-jitter-max", std::to_string(f.jitter_max_cycles));
-  if (f.seed != fd.seed) flag("fault-seed", std::to_string(f.seed));
-  if (f.timeout_cycles != fd.timeout_cycles)
-    flag("fault-timeout", std::to_string(f.timeout_cycles));
-  if (f.max_retries != fd.max_retries)
-    flag("fault-max-retries", std::to_string(f.max_retries));
-  if (f.reliability != fd.reliability) flag("fault-reliability", "false");
-  const auto& c = m.config.check;
-  if (c.memcheck || c.race || c.deadlock || c.lint) {
-    std::string list;
-    const auto add = [&list](bool on, const char* name) {
-      if (!on) return;
-      if (!list.empty()) list += ",";
-      list += name;
-    };
-    add(c.memcheck, "memcheck");
-    add(c.race, "race");
-    add(c.deadlock, "deadlock");
-    add(c.lint, "lint");
-    flag("check", list);
-  }
+  for (const Knob& k : snapshot::knobs())
+    if (k.expressed(m))
+      out.push_back("--" + std::string(k.name) + "=" + k.text(m));
   return out;
+}
+
+json::Value run_object(const snapshot::RunManifest& m) {
+  json::Value run = json::Value::object();
+  for (const Knob& k : snapshot::knobs())
+    if (k.expressed(m)) run.set(k.key(), k.json(m));
+  return run;
 }
 
 bool SweepSpec::from_json(const std::string& text, SweepSpec& out,
@@ -357,8 +144,7 @@ bool SweepSpec::from_json(const std::string& text, SweepSpec& out,
     return false;
   }
   SweepSpec spec;
-  spec.base.iterations = 8;  // emx_run's --iterations default
-  spec.base.seed = 1;
+  spec.base = snapshot::default_recipe();
   for (const auto& [key, v] : root.members()) {
     if (key == "name") {
       if (!v.is_string() || v.as_string().empty()) {
@@ -398,7 +184,7 @@ bool SweepSpec::from_json(const std::string& text, SweepSpec& out,
         return false;
       }
       for (const auto& [knob, kv] : v.members())
-        if (!apply_base_knob(knob, kv, spec.base, err)) return false;
+        if (!set_knob("base", knob, kv, spec.base, err)) return false;
     } else {
       err = "unknown spec key '" + key + "' (want name, grid, base)";
       return false;
@@ -466,7 +252,7 @@ bool SweepSpec::expand(std::vector<JobSpec>& out, std::string& err) const {
   // reproduce — anything else would make the journal's recipe a lie.
   {
     snapshot::RunManifest defaults, scrubbed = base;
-    copy_expressible(defaults, scrubbed);
+    for (const Knob& k : snapshot::knobs()) k.copy(defaults, scrubbed);
     const std::string leftover = scrubbed.diff(defaults);
     if (!leftover.empty()) {
       err = "sweep base sets knobs emx_run flags cannot express:\n" + leftover;
@@ -492,10 +278,6 @@ bool SweepSpec::expand(std::vector<JobSpec>& out, std::string& err) const {
       for (const std::uint64_t n : sizes) {
         for (const std::uint32_t h : hs) {
           for (const std::uint64_t s : seeds) {
-            if (p == 0 || n == 0 || h == 0) {
-              err = "grid cells need procs, sizes and threads >= 1";
-              return false;
-            }
             JobSpec job;
             job.manifest = base;
             job.manifest.app = app;
@@ -504,6 +286,11 @@ bool SweepSpec::expand(std::vector<JobSpec>& out, std::string& err) const {
             job.manifest.threads = h;
             job.manifest.seed = s;
             job.key = job_key(job.manifest);
+            const std::string bad = snapshot::problem(job.manifest);
+            if (!bad.empty()) {
+              err = "cell " + job.key + ": " + bad;
+              return false;
+            }
             if (!seen.insert(job.key).second) {
               err = "duplicate grid cell " + job.key +
                     " (repeated axis value?)";

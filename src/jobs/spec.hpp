@@ -61,7 +61,8 @@ struct SweepSpec {
 
   /// Expands the grid in deterministic order (apps → procs → sizes →
   /// threads → seeds). Returns false with `err` naming the problem
-  /// (unknown app, empty axis, duplicate cell).
+  /// (unknown app, empty axis, duplicate cell, or a cell that
+  /// snapshot::problem() refuses, so no worker is started to fail).
   bool expand(std::vector<JobSpec>& out, std::string& err) const;
 };
 
@@ -70,17 +71,21 @@ std::string job_key(const snapshot::RunManifest& m);
 
 /// Expands one "run" object — the cell coordinates (`app`, `procs`,
 /// `threads`, `size_per_proc`, `seed`) plus any knob of the spec's
-/// "base" vocabulary — into a fully keyed JobSpec, with the emx_run
-/// flag-parity defaults (iterations 8, seed 1) applied. The daemon
-/// parses submits with it, the sweep checks that each cell's run object
-/// reproduces the cell's key, and journal replay re-derives the key it
-/// journaled. Returns false with `err` phrased in "run." terms.
+/// "base" vocabulary (snapshot/knobs.hpp) — into a fully keyed JobSpec,
+/// starting from snapshot::default_recipe(). The daemon parses submits
+/// with it, the sweep checks that each cell's run object reproduces the
+/// cell's key, and journal replay re-derives the key it journaled.
+/// Returns false with `err` phrased in "run." terms.
 bool parse_run(const json::Value& run, JobSpec& out, std::string& err);
 
 /// emx_run argv tail reproducing `m` from a fresh default manifest —
-/// the flags the job core passes to a worker. Only fields expressible
-/// as emx_run flags are emitted; expand() rejects specs that stray
-/// outside that set.
+/// the flags the job core passes to a worker: every knob `m` must name
+/// (Knob::expressed). expand() rejects specs that stray outside the
+/// knob table.
 std::vector<std::string> worker_flags(const snapshot::RunManifest& m);
+
+/// The run object parse_run() turns back into `m`: the same knobs as
+/// worker_flags(), keyed and typed as JSON.
+json::Value run_object(const snapshot::RunManifest& m);
 
 }  // namespace emx::jobs

@@ -8,29 +8,6 @@
 
 namespace emx::jobs {
 
-namespace {
-
-/// The run object emx_serve would accept for `m`. worker_flags() names
-/// every expressible knob exactly as the run-object vocabulary does, so
-/// each "--name=value" becomes one member, typed by its JSON reading
-/// (numbers and booleans) or kept as a string.
-json::Value run_object(const snapshot::RunManifest& m) {
-  json::Value run = json::Value::object();
-  for (const std::string& flag : worker_flags(m)) {
-    const std::size_t eq = flag.find('=');
-    std::string name = flag.substr(2, eq - 2);
-    const std::string value = flag.substr(eq + 1);
-    if (name == "size-per-proc") name = "size_per_proc";
-    std::string perr;
-    json::Value v = json::Value::parse(value, perr);
-    run.set(name, perr.empty() && name != "app" ? std::move(v)
-                                                : json::Value::string(value));
-  }
-  return run;
-}
-
-}  // namespace
-
 int run_sweep(const SweepOptions& opts, SweepOutcome& out, std::string& err) {
   std::vector<JobSpec> cells;
   if (!opts.spec.expand(cells, err)) return 2;

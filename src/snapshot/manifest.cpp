@@ -1,22 +1,11 @@
 #include "snapshot/manifest.hpp"
 
-#include <cstdio>
+#include <string>
+
+#include "common/json.hpp"
+#include "snapshot/knobs.hpp"
 
 namespace emx::snapshot {
-
-namespace {
-
-const char* network_name(NetworkModel m) {
-  return m == NetworkModel::kDetailed ? "detailed" : "fast";
-}
-const char* read_service_name(ReadServiceMode m) {
-  return m == ReadServiceMode::kExuThread ? "em4" : "bypass";
-}
-const char* barrier_name(BarrierTopology b) {
-  return b == BarrierTopology::kTree ? "tree" : "central";
-}
-
-}  // namespace
 
 void RunManifest::save(Serializer& s) const {
   s.str(app);
@@ -181,63 +170,29 @@ bool RunManifest::load(Deserializer& d) {
 
 std::string RunManifest::diff(const RunManifest& other) const {
   std::string out;
-  const auto str_field = [&out](const char* name, const std::string& a,
-                                const std::string& b) {
-    if (a != b) out += std::string("  ") + name + ": " + a + " vs " + b + "\n";
+  const auto field = [&out](const std::string& name, const std::string& a,
+                            const std::string& b) {
+    if (a != b) out += "  " + name + ": " + a + " vs " + b + "\n";
   };
-  const auto u64_field = [&out](const char* name, std::uint64_t a,
-                                std::uint64_t b) {
-    if (a != b) {
-      char line[160];
-      std::snprintf(line, sizeof line, "  %s: %llu vs %llu\n", name,
-                    static_cast<unsigned long long>(a),
-                    static_cast<unsigned long long>(b));
-      out += line;
-    }
-  };
-  const auto f64_field = [&out](const char* name, double a, double b) {
-    if (a != b) {
-      char line[160];
-      std::snprintf(line, sizeof line, "  %s: %g vs %g\n", name, a, b);
-      out += line;
-    }
-  };
-  const auto bool_field = [&str_field](const char* name, bool a, bool b) {
-    str_field(name, a ? "true" : "false", b ? "true" : "false");
+  const auto u64_field = [&field](const std::string& name, std::uint64_t a,
+                                  std::uint64_t b) {
+    field(name, std::to_string(a), std::to_string(b));
   };
 
-  str_field("app", app, other.app);
-  u64_field("size-per-proc", size_per_proc, other.size_per_proc);
-  u64_field("threads", threads, other.threads);
-  u64_field("iterations", iterations, other.iterations);
-  u64_field("seed", seed, other.seed);
-  bool_field("block-reads", block_reads, other.block_reads);
-  bool_field("local-phase", local_phase, other.local_phase);
+  for (const Knob& k : knobs()) field(k.name, k.text(*this), k.text(other));
 
-  u64_field("procs", config.proc_count, other.config.proc_count);
   u64_field("memory-words", config.memory_words, other.config.memory_words);
-  str_field("network", network_name(config.network),
-            network_name(other.config.network));
-  str_field("read-service", read_service_name(config.read_service),
-            read_service_name(other.config.read_service));
-  str_field("barrier", barrier_name(config.barrier),
-            barrier_name(other.config.barrier));
   u64_field("ibu-fifo-depth", config.ibu_fifo_depth, other.config.ibu_fifo_depth);
   u64_field("obu-fifo-depth", config.obu_fifo_depth, other.config.obu_fifo_depth);
-  f64_field("clock-hz", config.clock_hz, other.config.clock_hz);
+  field("clock-hz", json::Value::real(config.clock_hz).dump(),
+        json::Value::real(other.config.clock_hz).dump());
   u64_field("packet-gen", config.packet_gen_cycles, other.config.packet_gen_cycles);
   u64_field("local-mem", config.local_mem_cycles, other.config.local_mem_cycles);
   u64_field("obu", config.obu_cycles, other.config.obu_cycles);
-  u64_field("switch-save", config.switch_save_cycles,
-            other.config.switch_save_cycles);
   u64_field("mu-dispatch", config.mu_dispatch_cycles,
             other.config.mu_dispatch_cycles);
   u64_field("match-store", config.match_store_cycles,
             other.config.match_store_cycles);
-  u64_field("dma-service", config.dma_service_cycles,
-            other.config.dma_service_cycles);
-  u64_field("dma-interval", config.dma_interval_cycles,
-            other.config.dma_interval_cycles);
   u64_field("dma-block-word", config.dma_block_word_cycles,
             other.config.dma_block_word_cycles);
   u64_field("exu-read-service", config.exu_read_service_cycles,
@@ -245,75 +200,24 @@ std::string RunManifest::diff(const RunManifest& other) const {
   u64_field("self-loop", config.self_loop_cycles, other.config.self_loop_cycles);
   u64_field("port-interval", config.port_interval_cycles,
             other.config.port_interval_cycles);
-  u64_field("poll-interval", config.barrier_poll_interval,
-            other.config.barrier_poll_interval);
   u64_field("barrier-check", config.barrier_check_cycles,
             other.config.barrier_check_cycles);
-  bool_field("priority-replies", config.priority_replies,
-             other.config.priority_replies);
 
-  u64_field("fault-seed", config.fault.seed, other.config.fault.seed);
-  f64_field("fault-drop-rate", config.fault.drop_rate,
-            other.config.fault.drop_rate);
-  f64_field("fault-dup-rate", config.fault.duplicate_rate,
-            other.config.fault.duplicate_rate);
-  f64_field("fault-corrupt-rate", config.fault.corrupt_rate,
-            other.config.fault.corrupt_rate);
-  u64_field("fault-jitter-max", config.fault.jitter_max_cycles,
-            other.config.fault.jitter_max_cycles);
-  u64_field("fault-stall-count", config.fault.stalls.size(),
-            other.config.fault.stalls.size());
-  u64_field("fault-scheduled-count", config.fault.scheduled.size(),
-            other.config.fault.scheduled.size());
-  u64_field("fault-outage-count", config.fault.outages.size(),
-            other.config.fault.outages.size());
-  if (config.fault.stalls.size() == other.config.fault.stalls.size()) {
-    for (std::size_t i = 0; i < config.fault.stalls.size(); ++i) {
-      const auto& a = config.fault.stalls[i];
-      const auto& b = other.config.fault.stalls[i];
-      if (a.src != b.src || a.dst != b.dst || a.begin != b.begin || a.end != b.end) {
-        char line[96];
-        std::snprintf(line, sizeof line, "  fault-stall[%zu]: windows differ\n", i);
-        out += line;
-      }
-    }
-  }
-  if (config.fault.scheduled.size() == other.config.fault.scheduled.size()) {
-    for (std::size_t i = 0; i < config.fault.scheduled.size(); ++i) {
-      const auto& a = config.fault.scheduled[i];
-      const auto& b = other.config.fault.scheduled[i];
-      if (a.nth != b.nth || a.kind != b.kind || a.filtered != b.filtered ||
-          a.only != b.only) {
-        char line[96];
-        std::snprintf(line, sizeof line, "  fault-scheduled[%zu]: entries differ\n",
-                      i);
-        out += line;
-      }
-    }
-  }
-  if (config.fault.outages.size() == other.config.fault.outages.size()) {
-    for (std::size_t i = 0; i < config.fault.outages.size(); ++i) {
-      const auto& a = config.fault.outages[i];
-      const auto& b = other.config.fault.outages[i];
-      if (a.pe != b.pe || a.begin != b.begin || a.end != b.end) {
-        char line[96];
-        std::snprintf(line, sizeof line, "  fault-outage[%zu]: windows differ\n", i);
-        out += line;
-      }
-    }
-  }
-  bool_field("fault-reliability", config.fault.reliability,
-             other.config.fault.reliability);
-  u64_field("fault-timeout", config.fault.timeout_cycles,
-            other.config.fault.timeout_cycles);
+  // The fault plan's window lists: their lengths, then each entry.
+  const auto entries = [&](const std::string& name, const auto& a,
+                           const auto& b) {
+    u64_field(name + "-count", a.size(), b.size());
+    for (std::size_t i = 0; a.size() == b.size() && i < a.size(); ++i)
+      if (!(a[i] == b[i]))
+        out += "  " + name + "[" + std::to_string(i) + "]: entries differ\n";
+  };
+  entries("fault-stall", config.fault.stalls, other.config.fault.stalls);
+  entries("fault-scheduled", config.fault.scheduled,
+          other.config.fault.scheduled);
+  entries(kFaultOutageFlag, config.fault.outages, other.config.fault.outages);
   u64_field("fault-backoff-mult", config.fault.backoff_mult,
             other.config.fault.backoff_mult);
-  u64_field("fault-max-retries", config.fault.max_retries,
-            other.config.fault.max_retries);
-
-  str_field("check", config.check.summary(), other.config.check.summary());
   u64_field("max-events", config.max_events, other.config.max_events);
-  u64_field("watchdog", config.watchdog_cycles, other.config.watchdog_cycles);
   return out;
 }
 

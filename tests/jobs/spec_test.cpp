@@ -177,5 +177,55 @@ TEST(SweepSpec, ZeroGridValuesAreRejected) {
   EXPECT_NE(err, "");
 }
 
+TEST(SweepSpec, CellsAWorkerWouldRefuseFailExpansion) {
+  // Each parses (the values have the knobs' types) but no worker could
+  // run the cells, so the sweep refuses them up front instead of
+  // retrying aborts or bad-input exits.
+  const char* bases[][2] = {
+      {R"("poll-interval": 0)", "poll-interval"},
+      {R"("fault-drop-rate": 0.6, "fault-dup-rate": 0.6)", "sum"},
+      {R"("network": "detailed")", "power-of-two"},
+  };
+  for (const auto& [base, named] : bases) {
+    const SweepSpec spec = parse_ok(
+        std::string(R"({"grid": {"apps": ["sort"], "procs": [6]}, "base": {)") +
+        base + "}}");
+    std::vector<JobSpec> jobs;
+    std::string err;
+    EXPECT_FALSE(spec.expand(jobs, err)) << base;
+    EXPECT_NE(err.find(named), std::string::npos) << err;
+  }
+}
+
+TEST(SweepSpec, CheckersInTheBaseKeyBackThroughTheRunObject) {
+  const SweepSpec spec = parse_ok(
+      R"({"grid": {"apps": ["sort"], "procs": [4]},
+          "base": {"check": "race,lint"}})");
+  EXPECT_TRUE(spec.base.config.check.race);
+  EXPECT_TRUE(spec.base.config.check.lint);
+  const std::vector<JobSpec> jobs = expand_ok(spec);
+  ASSERT_EQ(jobs.size(), 1u);
+  JobSpec back;
+  std::string err;
+  ASSERT_TRUE(parse_run(run_object(jobs[0].manifest), back, err)) << err;
+  EXPECT_EQ(back.key, jobs[0].key);
+}
+
+TEST(SweepSpec, UnknownKnobErrorsListTheVocabulary) {
+  const std::string base =
+      parse_err(R"({"grid": {"apps": ["sort"]}, "base": {"procs": 4}})");
+  EXPECT_NE(base.find("unknown base knob 'procs'"), std::string::npos) << base;
+  EXPECT_NE(base.find("poll-interval"), std::string::npos) << base;
+  EXPECT_NE(base.find("check"), std::string::npos) << base;
+
+  JobSpec job;
+  std::string err;
+  std::string perr;
+  EXPECT_FALSE(parse_run(json::Value::parse(R"({"app":"sort","x":1})", perr),
+                         job, err));
+  EXPECT_NE(err.find("unknown run knob 'x'"), std::string::npos) << err;
+  EXPECT_NE(err.find("size_per_proc"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace emx::jobs

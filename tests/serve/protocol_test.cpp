@@ -98,6 +98,22 @@ TEST(ProtocolTest, SubmitValidationIsLoud) {
   EXPECT_EQ(badval.find("base"), std::string::npos) << badval;
 }
 
+TEST(ProtocolTest, SubmitsNoWorkerCouldRunAreAnsweredWithAnError) {
+  const char* runs[][2] = {
+      {R"("poll-interval":0)", "poll-interval"},
+      {R"("fault-drop-rate":0.6,"fault-dup-rate":0.6)", "sum"},
+      {R"("procs":6,"network":"detailed")", "power-of-two"},
+      {R"("threads":0)", "run.threads"},
+      {R"("network":"detaild")", "\"detailed\" or \"fast\""},
+  };
+  for (const auto& [run, named] : runs) {
+    const std::string err =
+        parse_err(std::string(R"({"op":"submit","run":{"app":"sort",)") +
+                  run + "}}");
+    EXPECT_NE(err.find(named), std::string::npos) << run << ": " << err;
+  }
+}
+
 TEST(ProtocolTest, OtherOpsAndFraming) {
   EXPECT_EQ(parse_ok(R"({"op":"status","id":"j3"})").op,
             Request::Op::kStatus);

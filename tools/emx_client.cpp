@@ -125,7 +125,7 @@ void need_ok(const Value& v) {
 }
 
 /// Parses a knob value the way JSON would (numbers, booleans), falling
-/// back to a plain string ("detailed", "omega", ...).
+/// back to a plain string ("detailed", "em4", "race", ...).
 Value knob_value(const std::string& text) {
   std::string perr;
   Value v = Value::parse(text, perr);

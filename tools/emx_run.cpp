@@ -7,8 +7,9 @@
 //   $ emx_run --app=fft --record=fft.rr
 //   $ emx_run --replay=fft.rr
 //
-// Exposes every MachineConfig knob, runs the chosen application, verifies
-// the result, and prints the full measurement report (text or CSV).
+// Exposes every knob of the run-recipe table (snapshot/knobs.hpp), runs
+// the chosen application, verifies the result, and prints the full
+// measurement report (text or CSV).
 //
 // Checkpoint/resume and record/replay: a checkpoint stores the run recipe
 // (manifest) plus every component's serialized state; --resume re-executes
@@ -22,9 +23,11 @@
 // Exit codes:
 //   0  run completed, result verified (or --verify=false)
 //   1  run completed but the application result is wrong
-//   2  bad command line (unknown flag, out-of-range fault rate,
-//      malformed --fault-outage spec, contradictory --resume/--replay
-//      flags, corrupt snapshot file, ...)
+//   2  bad command line: an unknown flag, a knob value the knob table
+//      refuses, a recipe snapshot::problem() refuses (a fault rate out
+//      of range, network=detailed on a P that is not a power of two,
+//      ...), a malformed --fault-outage spec, contradictory
+//      --resume/--replay flags, a corrupt snapshot file, ...
 //   3  result fine but an armed checker (--check) reported findings
 //   4  the progress watchdog (--watchdog) stopped a stalled run;
 //      the stall diagnosis is printed to stderr
@@ -36,6 +39,7 @@
 #include "emx.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "snapshot/knobs.hpp"
 #include "snapshot/runner.hpp"
 #include "workloads/registry.hpp"
 
@@ -100,193 +104,56 @@ bool parse_outages(const std::string& spec,
   return true;
 }
 
-/// Range-checks every --fault-* value; prints a clear error and returns
-/// false instead of tripping the library's EMX_CHECK abort.
-bool validate_fault_flags(const MachineConfig& cfg) {
-  const auto bad_rate = [](const char* name, double v) {
-    std::fprintf(stderr, "emx_run: --%s=%g out of range (want 0..1)\n", name, v);
-  };
-  bool ok = true;
-  if (cfg.fault.drop_rate < 0 || cfg.fault.drop_rate > 1) {
-    bad_rate("fault-drop-rate", cfg.fault.drop_rate);
-    ok = false;
+/// Applies the knob flags and --fault-outage onto `m`: every flag, or
+/// with `only_explicit` only those the user passed — the merge rule for
+/// --resume and --replay, where defaults adopt the file's manifest and
+/// explicit flags must agree with it. Returns false (error already
+/// printed) on bad values.
+bool apply_run_flags(const CliFlags& flags, snapshot::RunManifest& m,
+                     bool only_explicit) {
+  const std::string err = snapshot::apply_flags(flags, m, only_explicit);
+  if (!err.empty()) {
+    std::fprintf(stderr, "emx_run: %s\n", err.c_str());
+    return false;
   }
-  if (cfg.fault.duplicate_rate < 0 || cfg.fault.duplicate_rate > 1) {
-    bad_rate("fault-dup-rate", cfg.fault.duplicate_rate);
-    ok = false;
-  }
-  if (cfg.fault.corrupt_rate < 0 || cfg.fault.corrupt_rate > 1) {
-    bad_rate("fault-corrupt-rate", cfg.fault.corrupt_rate);
-    ok = false;
-  }
-  if (ok && cfg.fault.drop_rate + cfg.fault.duplicate_rate +
-                cfg.fault.corrupt_rate > 1.0) {
-    std::fprintf(stderr,
-                 "emx_run: fault rates sum to %g; drop+dup+corrupt must "
-                 "not exceed 1\n",
-                 cfg.fault.drop_rate + cfg.fault.duplicate_rate +
-                     cfg.fault.corrupt_rate);
-    ok = false;
-  }
-  for (const auto& w : cfg.fault.outages) {
-    if (w.pe >= cfg.proc_count) {
-      std::fprintf(stderr,
-                   "emx_run: --fault-outage names pe %u but the machine "
-                   "has %u PEs\n",
-                   w.pe, cfg.proc_count);
-      ok = false;
-    }
-  }
-  return ok;
+  if (only_explicit && !flags.explicitly_set(snapshot::kFaultOutageFlag))
+    return true;
+  m.config.fault.outages.clear();
+  return parse_outages(flags.str(snapshot::kFaultOutageFlag),
+                       m.config.fault.outages);
 }
 
-/// Applies flag values onto `m`. With `only_explicit`, only flags the
-/// user actually passed are applied — the merge rule for --resume and
-/// --replay, where defaults adopt the file's manifest and explicit flags
-/// must agree with it. Returns false (error already printed) on bad
-/// values.
-bool apply_flags(const CliFlags& flags, snapshot::RunManifest& m,
-                 bool only_explicit) {
-  const auto want = [&](const char* name) {
-    return !only_explicit || flags.explicitly_set(name);
-  };
-  if (want("app")) m.app = flags.str("app");
-  if (want("size-per-proc"))
-    m.size_per_proc = static_cast<std::uint64_t>(flags.integer("size-per-proc"));
-  if (want("threads"))
-    m.threads = static_cast<std::uint32_t>(flags.integer("threads"));
-  if (want("iterations"))
-    m.iterations = static_cast<std::uint32_t>(flags.integer("iterations"));
-  if (want("seed")) m.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  if (want("block-reads")) m.block_reads = flags.boolean("block-reads");
-  if (want("local-phase")) m.local_phase = flags.boolean("local-phase");
-
-  if (want("procs"))
-    m.config.proc_count = static_cast<std::uint32_t>(flags.integer("procs"));
-  if (want("network"))
-    m.config.network = flags.str("network") == "detailed" ? NetworkModel::kDetailed
-                                                          : NetworkModel::kFast;
-  if (want("read-service"))
-    m.config.read_service = flags.str("read-service") == "em4"
-                                ? ReadServiceMode::kExuThread
-                                : ReadServiceMode::kBypassDma;
-  if (want("barrier"))
-    m.config.barrier = flags.str("barrier") == "tree" ? BarrierTopology::kTree
-                                                      : BarrierTopology::kCentral;
-  if (want("priority-replies"))
-    m.config.priority_replies = flags.boolean("priority-replies");
-  if (want("switch-save"))
-    m.config.switch_save_cycles = static_cast<Cycle>(flags.integer("switch-save"));
-  if (want("dma-service"))
-    m.config.dma_service_cycles = static_cast<Cycle>(flags.integer("dma-service"));
-  if (want("dma-interval"))
-    m.config.dma_interval_cycles =
-        static_cast<Cycle>(flags.integer("dma-interval"));
-  if (want("poll-interval"))
-    m.config.barrier_poll_interval =
-        static_cast<Cycle>(flags.integer("poll-interval"));
-
-  if (want("fault-drop-rate"))
-    m.config.fault.drop_rate = flags.real("fault-drop-rate");
-  if (want("fault-dup-rate"))
-    m.config.fault.duplicate_rate = flags.real("fault-dup-rate");
-  if (want("fault-corrupt-rate"))
-    m.config.fault.corrupt_rate = flags.real("fault-corrupt-rate");
-  if (want("fault-jitter-max")) {
-    if (flags.integer("fault-jitter-max") < 0) {
-      std::fprintf(stderr, "emx_run: --fault-jitter-max must be >= 0\n");
-      return false;
-    }
-    m.config.fault.jitter_max_cycles =
-        static_cast<Cycle>(flags.integer("fault-jitter-max"));
-  }
-  if (want("fault-seed"))
-    m.config.fault.seed = static_cast<std::uint64_t>(flags.integer("fault-seed"));
-  if (want("fault-timeout")) {
-    if (flags.integer("fault-timeout") < 1) {
-      std::fprintf(stderr, "emx_run: --fault-timeout must be >= 1 cycle\n");
-      return false;
-    }
-    m.config.fault.timeout_cycles =
-        static_cast<Cycle>(flags.integer("fault-timeout"));
-  }
-  if (want("fault-max-retries")) {
-    if (flags.integer("fault-max-retries") < 1) {
-      std::fprintf(stderr, "emx_run: --fault-max-retries must be >= 1\n");
-      return false;
-    }
-    m.config.fault.max_retries =
-        static_cast<std::uint32_t>(flags.integer("fault-max-retries"));
-  }
-  if (want("fault-outage")) {
-    m.config.fault.outages.clear();
-    if (!parse_outages(flags.str("fault-outage"), m.config.fault.outages))
-      return false;
-  }
-  if (want("fault-reliability"))
-    m.config.fault.reliability = flags.boolean("fault-reliability");
-
-  if (want("watchdog")) {
-    if (flags.integer("watchdog") < 0) {
-      std::fprintf(stderr, "emx_run: --watchdog must be >= 0\n");
-      return false;
-    }
-    m.config.watchdog_cycles = static_cast<Cycle>(flags.integer("watchdog"));
-  }
-  if (want("check"))
-    m.config.check = analysis::CheckConfig::parse(flags.str("check"));
-  return true;
+/// The first flag passed that shapes the fault plan, or "". With
+/// --replay the plan comes from the recording, so any is a
+/// contradiction.
+std::string explicit_fault_flag(const CliFlags& flags) {
+  if (flags.explicitly_set(snapshot::kFaultOutageFlag))
+    return snapshot::kFaultOutageFlag;
+  for (const snapshot::Knob& k : snapshot::knobs())
+    if (k.fault_plan() && flags.explicitly_set(k.name)) return k.name;
+  return "";
 }
-
-/// Every flag that feeds the fault plan; with --replay the plan comes
-/// from the recording, so passing any of these is a contradiction.
-constexpr const char* kFaultFlags[] = {
-    "fault-drop-rate",   "fault-dup-rate", "fault-corrupt-rate",
-    "fault-jitter-max",  "fault-seed",     "fault-timeout",
-    "fault-max-retries", "fault-outage",   "fault-reliability",
-};
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The flag defaults: the shared recipe, running sort at its registered
+  // size.
+  snapshot::RunManifest defaults = snapshot::default_recipe();
+  defaults.app = "sort";
+  if (const auto* sort = workloads::Registry::instance().find(defaults.app)) {
+    defaults.size_per_proc = sort->default_size_per_proc;
+    defaults.threads = sort->default_threads;
+  }
   CliFlags flags;
-  flags.define("app", "sort",
-               "workload: " + workloads::Registry::instance().name_list())
+  snapshot::define_flags(flags, defaults);
+  flags.define(snapshot::kFaultOutageFlag, "",
+               "PE fail-stop windows: pe:begin:end[,...]")
       .define("list-apps", "false",
               "print every registered workload with its description and "
               "default sizes, then exit")
-      .define("procs", "16", "processor count (power of two except jacobi)")
-      .define("size-per-proc", "1024", "elements/points/cells per PE")
-      .define("threads", "4", "fine-grain threads per PE")
-      .define("iterations", "8", "jacobi only: sweeps")
-      .define("network", "fast", "fast | detailed")
-      .define("read-service", "bypass", "bypass | em4")
-      .define("barrier", "central", "central | tree")
-      .define("priority-replies", "false", "replies via the high FIFO")
-      .define("block-reads", "false", "sort only: block-read variant")
-      .define("local-phase", "true", "fft only: include the local iterations")
-      .define("seed", "1", "workload seed")
-      .define("switch-save", "4", "register-save cycles per suspension")
-      .define("dma-service", "16", "by-pass DMA service latency, cycles")
-      .define("dma-interval", "32", "by-pass DMA occupancy per request")
-      .define("poll-interval", "24", "barrier re-check period, cycles")
       .define("report", "text", "text | csv")
       .define("verify", "true", "check the application result")
-      .define("fault-drop-rate", "0", "P(drop) per tracked fabric packet")
-      .define("fault-dup-rate", "0", "P(duplicate) per tracked fabric packet")
-      .define("fault-corrupt-rate", "0", "P(bit corruption) per tracked fabric packet")
-      .define("fault-jitter-max", "0", "max extra per-packet latency, cycles")
-      .define("fault-seed", "1026839", "fault plan RNG seed")
-      .define("fault-timeout", "4096", "retransmit timeout, cycles")
-      .define("fault-max-retries", "10", "retransmits allowed per request")
-      .define("fault-outage", "", "PE fail-stop windows: pe:begin:end[,...]")
-      .define("fault-reliability", "true",
-              "seq/ACK/retransmit protocol (off = lossy faults may hang; "
-              "pair with --watchdog)")
-      .define("watchdog", "0",
-              "stop + diagnose after N cycles without progress (0 = off); "
-              "exit code 4 when it fires")
-      .define("check", "", "checkers: memcheck,race,deadlock,lint | all | none")
       .define("checkpoint-every", "0",
               "write a full snapshot every N cycles (0 = off); needs "
               "--checkpoint-dir")
@@ -342,16 +209,14 @@ int main(int argc, char** argv) {
                  "(a replay must re-execute from cycle 0)\n");
     return 2;
   }
-  if (!replay_path.empty()) {
-    for (const char* f : kFaultFlags) {
-      if (flags.explicitly_set(f)) {
-        std::fprintf(stderr,
-                     "emx_run: --replay takes its fault plan from the "
-                     "recording; --%s contradicts it\n",
-                     f);
-        return 2;
-      }
-    }
+  if (const std::string f =
+          replay_path.empty() ? "" : explicit_fault_flag(flags);
+      !f.empty()) {
+    std::fprintf(stderr,
+                 "emx_run: --replay takes its fault plan from the "
+                 "recording; --%s contradicts it\n",
+                 f.c_str());
+    return 2;
   }
   if (flags.integer("checkpoint-every") < 0) {
     std::fprintf(stderr, "emx_run: --checkpoint-every must be >= 0\n");
@@ -387,7 +252,7 @@ int main(int argc, char** argv) {
     }
     // Defaults adopt the file's manifest; explicit flags must agree.
     snapshot::RunManifest merged = manifest;
-    if (!apply_flags(flags, merged, /*only_explicit=*/true)) return 2;
+    if (!apply_run_flags(flags, merged, /*only_explicit=*/true)) return 2;
     const std::string conflicts = manifest.diff(merged);
     if (!conflicts.empty()) {
       std::fprintf(stderr,
@@ -397,7 +262,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   } else {
-    if (!apply_flags(flags, manifest, /*only_explicit=*/false)) return 2;
+    if (!apply_run_flags(flags, manifest, /*only_explicit=*/false)) return 2;
     // Fresh runs left at the size defaults adopt the workload's own
     // registered default sizes (resume/replay adopt the file's manifest
     // instead, so this never rewrites a snapshot's recipe).
@@ -410,7 +275,10 @@ int main(int argc, char** argv) {
         manifest.threads = spec->default_threads;
     }
   }
-  if (!validate_fault_flags(manifest.config)) return 2;
+  if (const std::string bad = snapshot::problem(manifest); !bad.empty()) {
+    std::fprintf(stderr, "emx_run: %s\n", bad.c_str());
+    return 2;
+  }
   if (workloads::Registry::instance().find(manifest.app) == nullptr) {
     // Same diagnostic text the snapshot runner emits for a resumed
     // manifest naming an unknown app — one message, both paths, exit 2.

@@ -25,6 +25,7 @@
 
 #include "common/cli.hpp"
 #include "jobs/sweep.hpp"
+#include "snapshot/knobs.hpp"
 #include "workloads/registry.hpp"
 
 namespace {
@@ -125,8 +126,7 @@ int main(int argc, char** argv) {
                          "sizes-per-proc") ||
         !parse_uint_list(flags.str("seeds"), spec.seeds, "seeds"))
       return 2;
-    spec.base.iterations = 8;  // emx_run flag parity
-    spec.base.seed = 1;
+    spec.base = emx::snapshot::default_recipe();
   }
 
   if (flags.boolean("dry-run")) {
